@@ -238,35 +238,32 @@ def bench_overhead(
         raise ValidationError("repeat must be >= 1")
     index_config = index_config or IndexConfig()
 
-    method_stats: dict[str, dict] = {}
-    for kind in SINGLE_KINDS:
-        samples = []
-        idx = None
-        for _ in range(repeat):
-            idx = build_index(kind, entries, index_config)
-            samples.append(idx.build_seconds * 1e3)
-        mean, std = _mean_std(samples)
-        method_stats[kind] = {
-            "build_mean_ms": mean,
-            "build_std_ms": std,
-            "size_bytes": len(idx.to_bytes()),
-        }
+    # repetitions interleave the methods with a rotating order, so a drift in
+    # host speed reaches every method alike
+    names = [*SINGLE_KINDS, MULTI_METHOD]
+    samples: dict[str, list[float]] = {name: [] for name in names}
+    sizes: dict[str, int] = {}
+    sum_singles = 0
+    for rep in range(repeat):
+        for name in names[rep % len(names):] + names[: rep % len(names)]:
+            built = None  # free the previous build before the clock starts
+            if name == MULTI_METHOD:
+                start = time.perf_counter_ns()
+                built = build_all(entries, config=index_config, executor=executor)
+                samples[name].append((time.perf_counter_ns() - start) / 1e6)
+            else:
+                built = build_index(name, entries, index_config)
+                samples[name].append(built.build_seconds * 1e3)
+            if rep == repeat - 1:
+                sizes[name] = built.serialized_size
+                if name == MULTI_METHOD:
+                    sum_singles = sum(idx.serialized_size for idx in built.indexes.values())
 
-    samples = []
-    multi = None
-    for _ in range(repeat):
-        start = time.perf_counter_ns()
-        multi = build_all(entries, config=index_config, executor=executor)
-        samples.append((time.perf_counter_ns() - start) / 1e6)
-    size = len(multi.to_bytes())
-    sum_singles = sum(len(idx.to_bytes()) for idx in multi.indexes.values())
-    mean, std = _mean_std(samples)
-    method_stats[MULTI_METHOD] = {
-        "build_mean_ms": mean,
-        "build_std_ms": std,
-        "size_bytes": size,
-        "sum_single_bytes": sum_singles,
-    }
+    method_stats: dict[str, dict] = {}
+    for name in names:
+        mean, std = _mean_std(samples[name])
+        method_stats[name] = {"build_mean_ms": mean, "build_std_ms": std, "size_bytes": sizes[name]}
+    method_stats[MULTI_METHOD]["sum_single_bytes"] = sum_singles
 
     return BenchReport(
         scenario="index_overhead",

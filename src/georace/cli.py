@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from pathlib import Path
 
@@ -108,12 +109,16 @@ def _cmd_serve(args) -> int:
     system = System.open(args.store)
     service = QueryService(system, args.host, args.port)
     host, port = service.address
+    # SIGTERM stops the service as SIGINT does, so the race workers are
+    # stopped too instead of outliving it
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     print(f"serving {args.store} on http://{host}:{port}", flush=True)
     try:
         service.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         service.stop()
         system.close()
     return EXIT_OK

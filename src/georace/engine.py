@@ -2,15 +2,14 @@
 
 The racing multi-index answers "which tiles" (that is the system's point);
 the catalog is the satellite-filter authority and, in verification mode,
-an independent cross-check of the race result. Per-tile band fetch and
-index computation fan out across a small thread pool and join before the
-mosaic is assembled in catalog order, so concurrency never changes bytes.
+an independent cross-check of the race result. The selected tiles' bands
+are fetched one tile after another, in catalog order (capture time, then
+tile id), and the mosaic is assembled in that same order.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .bandmath import InfoKind, Mosaic, assemble_mosaic, compute_index
@@ -43,7 +42,7 @@ class Query:
 
 @dataclass(frozen=True)
 class StageTimings:
-    """Per-stage wall seconds; stages can overlap, total is the outer clock."""
+    """Per-stage wall seconds; total is the outer clock around all stages."""
 
     index: float
     select: float
@@ -74,7 +73,6 @@ class QueryResult:
 class SystemConfig:
     index: IndexConfig = field(default_factory=IndexConfig)
     race: RaceConfig = field(default_factory=RaceConfig)
-    fetch_parallelism: int = 4
     build_executor: str = "auto"
     default_pixel_size_deg: float = 0.25 / 256.0
 
@@ -137,23 +135,11 @@ def execute_query(system: System, q: Query, *, verification: bool | None = None)
     t_select = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    fetched: list[tuple] = [None] * len(metas)
-
-    def fetch_one(i: int):
-        meta = metas[i]
-        nir = system.store.fetch_band(meta.tile_id, NIR_BAND)
-        red = system.store.fetch_band(meta.tile_id, RED_BAND)
-        return i, meta, nir, red
-
-    workers = min(system.config.fetch_parallelism, len(metas))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, meta, nir, red in pool.map(fetch_one, range(len(metas))):
-                fetched[i] = (meta, nir, red)
-    else:
-        for i in range(len(metas)):
-            _, meta, nir, red = fetch_one(i)
-            fetched[i] = (meta, nir, red)
+    fetched = [
+        (meta, system.store.fetch_band(meta.tile_id, NIR_BAND),
+         system.store.fetch_band(meta.tile_id, RED_BAND))
+        for meta in metas
+    ]
     t_fetch = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -184,22 +170,14 @@ class BatchResult:
     elapsed_seconds: float
 
 
-def batch_execute(system: System, queries: list[Query], *, parallelism: int = 1) -> BatchResult:
-    """Run queries (sequentially by default), collecting per-query errors."""
+def batch_execute(system: System, queries: list[Query]) -> BatchResult:
+    """Run queries one after another, collecting per-query errors."""
     results: list[QueryResult | None] = [None] * len(queries)
     errors: dict[int, str] = {}
     started = time.perf_counter()
-
-    def run_one(i: int) -> None:
+    for i, q in enumerate(queries):
         try:
-            results[i] = execute_query(system, queries[i])
+            results[i] = execute_query(system, q)
         except Exception as exc:
             errors[i] = f"{type(exc).__name__}: {exc}"
-
-    if parallelism > 1 and len(queries) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            list(pool.map(run_one, range(len(queries))))
-    else:
-        for i in range(len(queries)):
-            run_one(i)
     return BatchResult(results, errors, time.perf_counter() - started)

@@ -10,15 +10,12 @@ half-open [min, max) on each axis except that the last cell on an axis also
 owns the domain edge (lon 180, lat 90) - the same rule the >= bisection
 implies.
 
-Two box-to-cells mappings are exposed on purpose:
-
-* cover(box, p): the minimal set of cells whose union covers the box. For a
-  box with positive extent this equals the cells overlapping it with positive
-  area; for a degenerate box it is the cell(s) the encode convention picks.
-* touching_cells(box, p): every cell whose closed extent shares at least a
-  boundary point with the box. Index registration and query probing both use
-  this inclusive set, which is what makes boundary-abutting tiles impossible
-  to miss under the closed intersection rule.
+A box maps to its touching cells: every cell whose closed extent shares at
+least a boundary point with the box (touching_cells, or touch_ranges for the
+column and row ranges without building the codes). Index registration and
+query probing both use this inclusive set, which is what makes
+boundary-abutting tiles impossible to miss under the closed intersection
+rule.
 """
 
 from __future__ import annotations
@@ -144,7 +141,7 @@ def _bisect_index(value: float, lo: float, hi: float, nbits: int) -> int:
     """Axis cell index by the same >= bisection encode() uses.
 
     Deriving indices this way (instead of floor((v - origin) / width)) keeps
-    cover/touching exactly consistent with encode for values within float
+    the touching cells exactly consistent with encode for values within float
     epsilon of a cell boundary.
     """
     idx = 0
@@ -159,17 +156,6 @@ def _bisect_index(value: float, lo: float, hi: float, nbits: int) -> int:
     return idx
 
 
-def _minimal_axis_range(lo: float, hi: float, origin: float, width: float, nbits: int) -> range:
-    """Cell indices of the minimal run of cells covering [lo, hi] on one axis."""
-    domain_hi = origin + width * (1 << nbits)
-    first = _bisect_index(lo, origin, domain_hi, nbits)
-    last = _bisect_index(hi, origin, domain_hi, nbits)
-    # hi exactly on its cell's lower edge: the previous cell already covers up to it
-    if last > first and hi == origin + last * width:
-        last -= 1
-    return range(first, last + 1)
-
-
 def _touching_axis_range(lo: float, hi: float, origin: float, width: float, nbits: int) -> range:
     """Cell indices whose closed extent shares at least a point with [lo, hi]."""
     domain_hi = origin + width * (1 << nbits)
@@ -181,28 +167,10 @@ def _touching_axis_range(lo: float, hi: float, origin: float, width: float, nbit
     return range(first, last + 1)
 
 
-def _cells(box: BoundingBox, precision: int, axis_range) -> set[str]:
-    lon_bits, lat_bits = bit_counts(precision)
-    col_w, row_h = 360.0 / (1 << lon_bits), 180.0 / (1 << lat_bits)
-    cols = axis_range(box.min_lon, box.max_lon, LON_MIN, col_w, lon_bits)
-    rows = axis_range(box.min_lat, box.max_lat, LAT_MIN, row_h, lat_bits)
-    return {_cell_code(c, r, precision) for c in cols for r in rows}
-
-
-def cover(box: BoundingBox, precision: int) -> set[str]:
-    """Minimal set of precision-P cells whose union covers the box."""
-    _check_precision(precision)
-    return _cells(box, precision, _minimal_axis_range)
-
-
 def touching_cells(box: BoundingBox, precision: int) -> set[str]:
-    """Every precision-P cell whose closed extent touches the box.
-
-    Superset of cover(); used for index registration and probing so that a
-    tile abutting a query exactly on a cell boundary is still found.
-    """
-    _check_precision(precision)
-    return _cells(box, precision, _touching_axis_range)
+    """Every precision-P cell whose closed extent touches the box."""
+    cols, rows = touch_ranges(box, precision)
+    return {_cell_code(c, r, precision) for c in cols for r in rows}
 
 
 def touch_ranges(box: BoundingBox, precision: int) -> tuple[range, range]:

@@ -12,6 +12,9 @@ shares at least a point with the box), then candidates are filtered by the
 exact closed comparisons. Any entry a query could match shares a cell with
 the query by construction, so cell conventions can never cause a miss.
 
+Every kind ends in one exact filter, RangeIndex._filter, a per-row Python
+loop; the linear scan passes it every row, the others their candidates.
+
 Cancellation: query() takes an optional should_cancel callable, polled
 periodically; a True return aborts the traversal by raising QueryCancelled.
 """
@@ -170,12 +173,6 @@ class RangeIndex:
     @property
     def rows(self) -> list[Row]:
         return self._rows
-
-    def entries(self) -> list[IndexEntry]:
-        return [
-            IndexEntry(r[0], BoundingBox(r[1], r[2], r[3], r[4]), TimeRange(r[5], r[6]))
-            for r in self._rows
-        ]
 
     @property
     def serialized_size(self) -> int:
@@ -519,22 +516,22 @@ class QuadTreeIndex(RangeIndex):
 
 
 class _GridNode:
-    __slots__ = ("row", "col", "row_ids", "right", "down")
+    __slots__ = ("row", "col", "row_ids", "right")
 
     def __init__(self, row: int, col: int, row_ids: tuple[int, ...]):
         self.row = row
         self.col = col
         self.row_ids = row_ids
         self.right: _GridNode | None = None
-        self.down: _GridNode | None = None
 
 
 class OrthoGridIndex(RangeIndex):
     """Orthogonal list over a uniform degree grid.
 
-    Non-empty cells become nodes linked rightward (increasing longitude) and
-    downward (decreasing latitude; row 0 touches the north edge). Queries
-    walk the right links of each row in the query's row range.
+    Non-empty cells become nodes, kept in row-major order (row 0 touches the
+    north edge, rows count southward) and linked rightward, by increasing
+    longitude, within each row. Queries walk the right links of each row in
+    the query's row range.
     """
 
     kind = IndexKind.ORTHOLIST.value
@@ -545,7 +542,6 @@ class OrthoGridIndex(RangeIndex):
         self.n_cols = math.ceil(360.0 / cell_deg)
         self.n_rows = math.ceil(180.0 / cell_deg)
         self._row_heads: dict[int, _GridNode] = {}
-        self._col_heads: dict[int, _GridNode] = {}
         self._nodes: list[_GridNode] = []
         self._avg_bucket = 0.0
         self._est_row_coef = _OL_PER_ROW
@@ -583,19 +579,12 @@ class OrthoGridIndex(RangeIndex):
             _GridNode(r, c, tuple(buckets[(r, c)])) for r, c in sorted(buckets)
         ]
         last_in_row: dict[int, _GridNode] = {}
-        last_in_col: dict[int, _GridNode] = {}
         for node in self._nodes:
             if node.row in last_in_row:
                 last_in_row[node.row].right = node
             else:
                 self._row_heads[node.row] = node
             last_in_row[node.row] = node
-        for node in sorted(self._nodes, key=lambda n: (n.col, n.row)):
-            if node.col in last_in_col:
-                last_in_col[node.col].down = node
-            else:
-                self._col_heads[node.col] = node
-            last_in_col[node.col] = node
 
     def query(self, box: BoundingBox, trange: TimeRange, should_cancel=None) -> set[str]:
         cols = self._cols_for(box.min_lon, box.max_lon)
@@ -640,32 +629,6 @@ class OrthoGridIndex(RangeIndex):
     def node_count(self) -> int:
         return len(self._nodes)
 
-    def __getstate__(self):
-        # pickle nodes as plain tuples: the right/down chains would otherwise
-        # recurse once per node
-        state = self.__dict__.copy()
-        state["_nodes"] = [(n.row, n.col, n.row_ids) for n in self._nodes]
-        del state["_row_heads"]
-        del state["_col_heads"]
-        return state
-
-    def __setstate__(self, state):
-        packed = state.pop("_nodes")
-        self.__dict__.update(state)
-        self._row_heads = {}
-        self._col_heads = {}
-        self._nodes = []
-        self._link({(r, c): list(ids) for r, c, ids in packed})
-
-    def walk_down(self, col: int) -> list[tuple[int, int]]:
-        """(row, col) sequence along a column's down links; for link checks."""
-        out = []
-        node = self._col_heads.get(col)
-        while node is not None:
-            out.append((node.row, node.col))
-            node = node.down
-        return out
-
     def _serialize(self) -> bytes:
         out = bytearray(b"GXOL")
         out += struct.pack("<Hd", 1, self.cell_deg)
@@ -688,23 +651,7 @@ class LinearScanIndex(RangeIndex):
         return cls(rows)
 
     def query(self, box: BoundingBox, trange: TimeRange, should_cancel=None) -> set[str]:
-        qlo_x, qhi_x = box.min_lon, box.max_lon
-        qlo_y, qhi_y = box.min_lat, box.max_lat
-        qt0, qt1 = trange.start, trange.end
-        hits: set[str] = set()
-        for i, (tile_id, lo_x, hi_x, lo_y, hi_y, t0, t1) in enumerate(self._rows):
-            if should_cancel is not None and i % 256 == 0 and should_cancel():
-                raise QueryCancelled()
-            if (
-                lo_x <= qhi_x
-                and qlo_x <= hi_x
-                and lo_y <= qhi_y
-                and qlo_y <= hi_y
-                and t0 <= qt1
-                and qt0 <= t1
-            ):
-                hits.add(tile_id)
-        return hits
+        return self._filter(range(len(self._rows)), box, trange, should_cancel)
 
     def estimate_cost(self, box: BoundingBox, trange: TimeRange) -> float:
         return _LS_FIXED + _LS_PER_ROW * len(self._rows)

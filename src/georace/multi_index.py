@@ -37,11 +37,9 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 
 from .errors import IndexBuildError, ValidationError
-from .geo import BoundingBox, TimeRange
 from .indexes import (
     GeoHashIndex,
     IndexConfig,
-    IndexEntry,
     IndexKind,
     RangeIndex,
     Row,
@@ -118,11 +116,6 @@ class MultiIndex:
 
 def _stamp(rows: list[Row]) -> str:
     return hashlib.sha256(_pack_entries(rows)).hexdigest()[:16]
-
-
-def snapshot_stamp(entries) -> str:
-    """Content hash identifying an entry snapshot."""
-    return _stamp(_rows_from_entries(entries))
 
 
 def _build_one(kind: str, rows: list[Row], config: IndexConfig) -> RangeIndex:
@@ -277,10 +270,3 @@ def build_all(
     assignment = {kind: replicas[i] for i, kind in enumerate(_ENSEMBLE)}
     return MultiIndex({kind: built[kind] for kind in _ENSEMBLE}, stamp, assignment, wall)
 
-
-def entries_from_rows(rows) -> list[IndexEntry]:
-    """Rebuild IndexEntry objects from packed row tuples."""
-    return [
-        IndexEntry(r[0], BoundingBox(r[1], r[2], r[3], r[4]), TimeRange(r[5], r[6]))
-        for r in rows
-    ]

@@ -1,8 +1,12 @@
 """First-completion-wins query racing over the index ensemble.
 
-One persistent worker per index kind (a forked process by default, a thread
-if configured) runs range queries on its own copy of the index; the runner
-dispatches a query to the workers and takes the first reply.
+One persistent worker per index kind runs range queries on its own copy of
+the index; the runner dispatches a query to the workers and takes the first
+reply. Both backends share one mechanism: each worker reads requests from
+one pipe and writes replies to another, polls one shared watermark, and runs
+the same loop; RaceConfig.backend only picks whether a forked process (the
+default) or a thread runs it. A forked worker inherits its index through
+fork, so nothing is pickled on the way in.
 
 Dispatch is tiered: workers are ordered by each index's own cost estimate
 for the query, the predicted-fastest is dispatched immediately, the rest
@@ -25,7 +29,6 @@ worker until cancelled.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from collections import Counter
@@ -118,57 +121,41 @@ def _run_batch(index: RangeIndex, payloads, watermark, delay_s: float):
     return tuple(_run_query(index, p, watermark, delay_s) for p in payloads)
 
 
-def _process_worker(index: RangeIndex, req_conn, reply_conn, watermark) -> None:
+def _worker_loop(index: RangeIndex, requests, replies, watermark, inherited) -> None:
+    """One worker's loop, run by a process or a thread: answer each request
+    on the reply pipe until "stop" or until the request pipe closes.
+
+    A forked worker first closes its copies of the runner's pipe ends, so a
+    dead runner leaves every request pipe at EOF and no worker behind.
+    """
+    for conn in inherited:
+        conn.close()
     delay_s = 0.0
-    while True:
-        msg = req_conn.recv()
-        tag = msg[0]
-        if tag == "stop":
-            return
-        if tag == "delay":
-            delay_s = msg[1]
-            continue
-        if tag == "batch":
-            reply_conn.send(("batch", 0, _run_batch(index, msg[1], watermark, delay_s), 0.0))
-            continue
-        status, qid, payload, compute_s = _run_query(index, msg[1], watermark, delay_s)
-        reply_conn.send((status, qid, payload, compute_s))
-
-
-def _thread_worker(index: RangeIndex, kind: str, req_q, reply_q, watermark) -> None:
-    delay_s = 0.0
-    while True:
-        msg = req_q.get()
-        tag = msg[0]
-        if tag == "stop":
-            return
-        if tag == "delay":
-            delay_s = msg[1]
-            continue
-        if tag == "batch":
-            reply_q.put((kind, "batch", 0, _run_batch(index, msg[1], watermark, delay_s), 0.0))
-            continue
-        status, qid, payload, compute_s = _run_query(index, msg[1], watermark, delay_s)
-        reply_q.put((kind, status, qid, payload, compute_s))
-
-
-class _IntBox:
-    """Watermark for the thread backend; attribute store is GIL-atomic."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
+    try:
+        while True:
+            msg = requests.recv()
+            tag = msg[0]
+            if tag == "stop":
+                return
+            if tag == "delay":
+                delay_s = msg[1]
+            elif tag == "batch":
+                replies.send(("batch", 0, _run_batch(index, msg[1], watermark, delay_s), 0.0))
+            else:
+                replies.send(_run_query(index, msg[1], watermark, delay_s))
+    except (EOFError, OSError):
+        return  # the runner is gone or closed its pipe ends
 
 
 class _Worker:
-    __slots__ = ("kind", "send", "recv_conn", "handle", "failed", "dead")
+    __slots__ = ("kind", "requests", "replies", "ends", "handle", "failed", "dead")
 
-    def __init__(self, kind, send, recv_conn, handle):
+    def __init__(self, kind, requests, replies, ends, handle):
         self.kind = kind
-        self.send = send
-        self.recv_conn = recv_conn  # process backend only
-        self.handle = handle
+        self.requests = requests  # runner's sending end of the request pipe
+        self.replies = replies  # runner's receiving end of the reply pipe
+        self.ends = ends  # every pipe end this process holds for the worker
+        self.handle = handle  # the Process or Thread running _worker_loop
         self.failed = False  # admin fault injection: skip at dispatch
         self.dead = False  # pipe gone (worker process died for real)
 
@@ -196,33 +183,30 @@ class RaceRunner:
         self.stats = RaceStats()
         self._closed = False
         self._workers: dict[str, _Worker] = {}
-        if self.config.backend == "process":
-            self._ctx = get_context("fork")
-            self._watermark = self._ctx.Value("q", 0, lock=False)
-            for kind, index in self._indexes.items():
-                req_recv, req_send = self._ctx.Pipe(duplex=False)
-                reply_recv, reply_send = self._ctx.Pipe(duplex=False)
-                proc = self._ctx.Process(
-                    target=_process_worker,
-                    args=(index, req_recv, reply_send, self._watermark),
-                    daemon=True,
-                )
-                proc.start()
+        ctx = get_context("fork")
+        forked = self.config.backend == "process"
+        run = ctx.Process if forked else threading.Thread
+        self._watermark = ctx.Value("q", 0, lock=False)
+        for kind, index in self._indexes.items():
+            req_recv, req_send = ctx.Pipe(duplex=False)
+            reply_recv, reply_send = ctx.Pipe(duplex=False)
+            inherited = ()
+            if forked:
+                inherited = [end for w in self._workers.values() for end in w.ends]
+                inherited += (req_send, reply_recv)
+            handle = run(
+                target=_worker_loop,
+                args=(index, req_recv, reply_send, self._watermark, inherited),
+                daemon=True,
+            )
+            handle.start()
+            if forked:  # the child holds the worker's ends now
                 req_recv.close()
                 reply_send.close()
-                self._workers[kind] = _Worker(kind, req_send.send, reply_recv, proc)
-        else:
-            self._watermark = _IntBox()
-            self._reply_q: queue.Queue = queue.Queue()
-            for kind, index in self._indexes.items():
-                req_q: queue.Queue = queue.Queue()
-                th = threading.Thread(
-                    target=_thread_worker,
-                    args=(index, kind, req_q, self._reply_q, self._watermark),
-                    daemon=True,
-                )
-                th.start()
-                self._workers[kind] = _Worker(kind, req_q.put, None, th)
+                ends = (req_send, reply_recv)
+            else:
+                ends = (req_send, reply_recv, req_recv, reply_send)
+            self._workers[kind] = _Worker(kind, req_send, reply_recv, ends, handle)
 
     # -- worker control -----------------------------------------------------
 
@@ -242,7 +226,7 @@ class RaceRunner:
         """Inject an artificial pre-traversal delay into one worker."""
         if seconds < 0:
             raise ValidationError("delay must be >= 0")
-        self._worker(kind).send(("delay", seconds))
+        self._worker(kind).requests.send(("delay", seconds))
 
     def worker_status(self) -> dict[str, bool]:
         return {kind: not w.failed and not w.dead for kind, w in self._workers.items()}
@@ -292,7 +276,7 @@ class RaceRunner:
 
         def dispatch(kind: str) -> None:
             try:
-                self._workers[kind].send(("q", payload))
+                self._workers[kind].requests.send(("q", payload))
             except (OSError, ValueError) as exc:
                 self._workers[kind].dead = True
                 errors[kind] = f"dispatch failed: {exc}"
@@ -459,7 +443,7 @@ class RaceRunner:
                     payloads.append((self._qid, box.as_tuple(), trange.start, trange.end))
                     attempted.setdefault(i, set()).add(kind)
                 try:
-                    self._workers[kind].send(("batch", tuple(payloads)))
+                    self._workers[kind].requests.send(("batch", tuple(payloads)))
                 except (OSError, ValueError) as exc:
                     self._workers[kind].dead = True
                     errors[kind] = f"dispatch failed: {exc}"
@@ -519,48 +503,40 @@ class RaceRunner:
     def _drain(self, timeout: float):
         """Replies that arrived within timeout (may be empty)."""
         out = []
-        if self.config.backend == "process":
-            conns = {w.recv_conn: k for k, w in self._workers.items() if not w.dead}
-            if not conns:
-                return out
-            ready = connection_wait(list(conns), timeout)
-            for conn in ready:
-                kind = conns[conn]
-                try:
-                    while conn.poll():
-                        status, qid, payload, compute_s = conn.recv()
-                        out.append((kind, status, qid, payload, compute_s))
-                except (EOFError, OSError):
-                    self._workers[kind].dead = True
-                    out.append((kind, "dead", -1, "worker pipe closed", 0.0))
-        else:
+        conns = {w.replies: k for k, w in self._workers.items() if not w.dead}
+        if not conns:
+            return out
+        for conn in connection_wait(list(conns), timeout):
+            kind = conns[conn]
             try:
-                out.append(self._reply_q.get(timeout=timeout))
-            except queue.Empty:
-                return out
-            while True:
-                try:
-                    out.append(self._reply_q.get_nowait())
-                except queue.Empty:
-                    break
+                while conn.poll():
+                    status, qid, payload, compute_s = conn.recv()
+                    out.append((kind, status, qid, payload, compute_s))
+            except (EOFError, OSError):
+                self._workers[kind].dead = True
+                out.append((kind, "dead", -1, "worker pipe closed", 0.0))
         return out
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
+        """Stop every worker and close every pipe end the runner holds."""
         if self._closed:
             return
         self._closed = True
         self._watermark.value = self._qid + 1
         for w in self._workers.values():
             try:
-                w.send(("stop",))
+                w.requests.send(("stop",))
             except (OSError, ValueError):
                 pass
         for w in self._workers.values():
             w.handle.join(timeout=1.0)
             if self.config.backend == "process" and w.handle.is_alive():
                 w.handle.terminate()
+                w.handle.join()
+            for end in w.ends:
+                end.close()
 
     def __enter__(self) -> "RaceRunner":
         return self

@@ -95,7 +95,7 @@ def _node_listing(system: System) -> list[dict]:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    system: System = None  # injected by make_server
+    system: System = None  # injected by QueryService
     protocol_version = "HTTP/1.1"
 
     def log_message(self, fmt, *args):  # keep test output clean

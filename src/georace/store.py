@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path

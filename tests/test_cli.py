@@ -1,9 +1,16 @@
 """Command-line interface: end-to-end flows and exit codes."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import georace
 from georace.cli import (
     EXIT_OK,
     EXIT_STORE,
@@ -194,3 +201,58 @@ class TestTimeoutExit:
 
         monkeypatch.setattr(cli, "execute_query", boom)
         assert main(query_argv(store, spec)) == EXIT_TIMEOUT
+
+
+def _stat(pid: int) -> tuple[str, int] | None:
+    """(state, parent pid) of a process from /proc, None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state, parent = fh.read().rsplit(")", 1)[1].split()[:2]
+    except OSError:
+        return None
+    return state, int(parent)
+
+
+def _alive(pid: int) -> bool:
+    stat = _stat(pid)
+    return stat is not None and stat[0] not in ("Z", "X")
+
+
+def _live_children(ppid: int) -> list[int]:
+    pids = [int(entry) for entry in os.listdir("/proc") if entry.isdigit()]
+    return [pid for pid in pids if (_stat(pid) or ("", 0))[1] == ppid and _alive(pid)]
+
+
+class TestServe:
+    # SIGTERM must stop the race workers as SIGINT does; after SIGKILL the
+    # server cleans nothing up, and the workers must still see their request
+    # pipes close
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["term", "kill"])
+    def test_no_race_worker_outlives_the_server(self, ingested, sig):
+        store, _ = ingested
+        env = dict(os.environ, PYTHONPATH=str(Path(georace.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "georace.cli", "serve", "--store", str(store), "--port", "0"],
+            stdout=subprocess.PIPE, env=env,
+        )
+        workers = []
+        try:
+            assert proc.stdout.readline().startswith(b"serving ")
+            workers = _live_children(proc.pid)
+            assert len(workers) == 3
+            proc.send_signal(sig)
+            code = proc.wait(timeout=10)
+            if sig == signal.SIGTERM:
+                assert code == EXIT_OK
+            deadline = time.monotonic() + 2.0
+            while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in workers if _alive(pid)] == []
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)

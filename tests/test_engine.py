@@ -3,7 +3,6 @@
 import statistics
 import time
 
-import numpy as np
 import pytest
 
 from georace.bandmath import InfoKind, compute_index
@@ -244,17 +243,6 @@ class TestBatch:
         out2 = batch_execute(system, queries)
         assert out2.errors == {}
         assert all(r is not None for r in out2.results)
-
-    def test_parallel_batch_matches_serial(self, system):
-        queries = [
-            Query(box, trange, InfoKind.DVI)
-            for box, trange in generate_queries(SPEC, WorkloadSpec(count=10, seed=8))
-        ]
-        serial = batch_execute(system, queries)
-        threaded = batch_execute(system, queries, parallelism=4)
-        assert serial.errors == {} and threaded.errors == {}
-        for a, b in zip(serial.results, threaded.results):
-            assert a.mosaic.values.tobytes() == b.mosaic.values.tobytes()
 
     @pytest.mark.slow
     def test_elapsed_scales_linearly_with_query_count(self, system):

@@ -9,7 +9,6 @@ from georace.geo import BoundingBox, GeoPoint, intersects
 from georace.geohash import (
     BASE32,
     cell_size,
-    cover,
     decode,
     encode,
     touching_cells,
@@ -117,62 +116,34 @@ def all_cells_p3():
 
 
 class TestCover:
+    """The touching cells cover the box: their union holds every point of it."""
+
     def test_world_is_all_32(self):
         world = BoundingBox(-180.0, 180.0, -90.0, 90.0)
-        assert cover(world, 1) == set(BASE32)
-
-    def test_exact_cell_is_itself(self):
-        assert cover(decode("s"), 1) == {"s"}
-
-    def test_point_on_boundary_takes_upper_cell(self):
-        # matches the >= encode convention
-        assert cover(BoundingBox(45.0, 45.0, 0.0, 0.0), 1) == {encode(GeoPoint(45.0, 0.0), 1)}
-
-    def test_random_boxes_match_exhaustive_enumeration(self, all_cells_p3):
-        rng = random.Random(20260814)
-        for _ in range(100):
-            w = rng.uniform(0.5, 15.0)
-            h = rng.uniform(0.5, 15.0)
-            x0 = rng.uniform(-180.0, 180.0 - w)
-            y0 = rng.uniform(-90.0, 90.0 - h)
-            box = BoundingBox(x0, x0 + w, y0, y0 + h)
-            expected = {
-                code
-                for code, cell in all_cells_p3.items()
-                if cell.min_lon < box.max_lon
-                and box.min_lon < cell.max_lon
-                and cell.min_lat < box.max_lat
-                and box.min_lat < cell.max_lat
-            }
-            assert cover(box, 3) == expected
+        assert touching_cells(world, 1) == set(BASE32)
 
     @given(boxes_=st.tuples(st.floats(-179.0, 170.0), st.floats(-89.0, 80.0), st.floats(0.0, 8.0), st.floats(0.0, 8.0)), k=st.integers(1, 4))
     def test_cover_cells_intersect_box(self, boxes_, k):
         x0, y0, w, h = boxes_
         box = BoundingBox(x0, min(x0 + w, 180.0), y0, min(y0 + h, 90.0))
-        for code in cover(box, k):
+        for code in touching_cells(box, k):
             assert intersects(decode(code), box)
 
     @given(boxes_=st.tuples(st.floats(-179.0, 170.0), st.floats(-89.0, 80.0), st.floats(0.01, 8.0), st.floats(0.01, 8.0)), k=st.integers(1, 4))
     def test_cover_covers_interior_points(self, boxes_, k):
         x0, y0, w, h = boxes_
         box = BoundingBox(x0, min(x0 + w, 180.0), y0, min(y0 + h, 90.0))
-        cells = cover(box, k)
+        cells = touching_cells(box, k)
         probe = GeoPoint((box.min_lon + box.max_lon) / 2, (box.min_lat + box.max_lat) / 2)
         assert encode(probe, k) in cells
 
 
 class TestTouchingCells:
-    def test_superset_of_cover(self):
-        box = BoundingBox(10.0, 22.5, -5.0, 5.0)
-        assert touching_cells(box, 2) >= cover(box, 2)
-
     def test_boundary_abutting_neighbors_included(self):
         # box's west edge lies on the "s"/"t" column boundary at lon 45
         box = BoundingBox(45.0, 46.0, 0.0, 1.0)
         cells = touching_cells(box, 1)
         assert "s" in cells and "t" in cells
-        assert cover(box, 1) == {"t"}
 
     def test_exhaustive_closed_intersection(self, all_cells_p3):
         rng = random.Random(99)

@@ -171,11 +171,16 @@ class TestQuadTreeStructure:
         assert "span" in idx.query(BoundingBox(0.8, 0.9, 0.1, 0.2), TimeRange(0, 0))
 
 
+def grid_cells(idx):
+    """(row, col) of each ortho grid node, in the index's node order."""
+    return [(node.row, node.col) for node in idx._nodes]
+
+
 class TestOrthoGridStructure:
     def test_north_edge_is_row_zero(self):
         rows = [("arctic", -180.0, -179.0, 89.0, 90.0, 0, 0)]
         idx = build_from_rows("ortholist", rows, grid_cell_deg=1.0)
-        assert any(r == 0 for r, _ in idx.walk_down(0))
+        assert (0, 0) in grid_cells(idx)
 
     def test_walk_down_rows_increase(self):
         rows = [
@@ -185,9 +190,9 @@ class TestOrthoGridStructure:
         ]
         idx = build_from_rows("ortholist", rows, grid_cell_deg=1.0)
         col = 190  # 10.x east -> (10 + 180) // 1
-        chain = idx.walk_down(col)
-        assert chain == sorted(chain)
-        assert [r for r, _ in chain] == [9, 49, 120]  # 90 - lat ceiling per row
+        cells = grid_cells(idx)
+        assert cells == sorted(cells)  # row-major: rows count southward
+        assert [r for r, c in cells if c == col] == [9, 49, 120]  # 90 - lat ceiling per row
 
     def test_cell_spanning_tile_registered_in_all_touched_cells(self):
         rows = [("wide", 10.2, 13.8, 50.2, 50.8, 0, 0)]

@@ -10,10 +10,7 @@ from conftest import make_entries, random_rows
 from georace.errors import IndexBuildError, ValidationError
 from georace.multi_index import (
     DEFAULT_REPLICAS,
-    MultiIndex,
     build_all,
-    entries_from_rows,
-    snapshot_stamp,
 )
 from georace import multi_index as mi
 
@@ -59,11 +56,10 @@ def test_container_layout(entries):
 
 
 def test_snapshot_stamp_tracks_content(entries):
-    assert snapshot_stamp(entries) == snapshot_stamp(list(entries))
+    stamp = build_all(entries, executor="serial").snapshot
+    assert build_all(list(entries), executor="process").snapshot == stamp
     other = make_entries(random_rows(150, seed=62))
-    assert snapshot_stamp(entries) != snapshot_stamp(other)
-    multi = build_all(entries, executor="serial")
-    assert multi.snapshot == snapshot_stamp(entries)
+    assert build_all(other, executor="serial").snapshot != stamp
 
 
 def test_replica_assignment_covers_all_kinds(entries):
@@ -157,12 +153,6 @@ def test_geohash_chunk_claims_under_contention(entries, monkeypatch):
     serial = build_all(entries, executor="serial").to_bytes()
     for _ in range(5):
         assert build_all(entries, executor="process").to_bytes() == serial
-
-
-def test_entries_round_trip(entries):
-    rows = [e.as_row() for e in entries]
-    again = entries_from_rows(rows)
-    assert again == entries
 
 
 def test_default_replicas_are_three_nodes():

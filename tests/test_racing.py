@@ -64,10 +64,19 @@ class TestCorrectness:
             assert r.stats.mean_latency > 0
 
 
-class TestVerification:
+class _OnBackend:
+    """Cases that run on the race backend named by the subclass."""
+
+    backend = "process"
+
+    def runner(self, indexes, **config):
+        return RaceRunner(indexes, config=RaceConfig(backend=self.backend, **config))
+
+
+class _VerificationCases(_OnBackend):
     def test_verification_waits_for_all(self, corpus):
         rows, queries = corpus
-        with RaceRunner(build_singles(rows), config=RaceConfig(verification=True)) as r:
+        with self.runner(build_singles(rows), verification=True) as r:
             for box, trange in queries[:15]:
                 outcome = r.query(BoundingBox(*box), TimeRange(*trange))
                 assert all(
@@ -81,22 +90,22 @@ class TestVerification:
         # skew one index by building it from a different corpus
         bad_rows = rows[:-5]
         indexes["geohash"] = build_index("geohash", make_entries(bad_rows), IndexConfig())
-        with RaceRunner(indexes) as r:
+        with self.runner(indexes) as r:
             box = BoundingBox(-170, 170, -80, 80)
             trange = TimeRange(0, 10_000)
             with pytest.raises(IndexMismatchError, match="geohash"):
                 r.query(box, trange, verification=True)
 
 
-class TestFaults:
+class _FaultCases(_OnBackend):
     def test_single_worker_failures_do_not_change_results(self, corpus):
         rows, queries = corpus
         baseline = {}
-        with RaceRunner(build_singles(rows)) as r:
+        with self.runner(build_singles(rows)) as r:
             for i, (box, trange) in enumerate(queries[:40]):
                 baseline[i] = r.query(BoundingBox(*box), TimeRange(*trange)).result
         for failed_kind in SINGLE_KINDS:
-            with RaceRunner(build_singles(rows)) as r:
+            with self.runner(build_singles(rows)) as r:
                 r.fail_worker(failed_kind)
                 for i, (box, trange) in enumerate(queries[:40]):
                     outcome = r.query(BoundingBox(*box), TimeRange(*trange))
@@ -105,7 +114,7 @@ class TestFaults:
 
     def test_two_failures_still_answer(self, corpus):
         rows, queries = corpus
-        with RaceRunner(build_singles(rows)) as r:
+        with self.runner(build_singles(rows)) as r:
             r.fail_worker("geohash")
             r.fail_worker("quadtree")
             box, trange = queries[0]
@@ -115,7 +124,7 @@ class TestFaults:
 
     def test_all_failed_raises_timeout_error(self, corpus):
         rows, queries = corpus
-        with RaceRunner(build_singles(rows)) as r:
+        with self.runner(build_singles(rows)) as r:
             for kind in SINGLE_KINDS:
                 r.fail_worker(kind)
             box, trange = queries[0]
@@ -124,21 +133,9 @@ class TestFaults:
             r.restore_worker("quadtree")
             assert r.query(BoundingBox(*box), TimeRange(*trange)).winner == "quadtree"
 
-    def test_killed_worker_process_is_survived(self, corpus):
-        rows, queries = corpus
-        with RaceRunner(build_singles(rows)) as r:
-            victim = r._workers["quadtree"].handle
-            victim.kill()
-            victim.join(timeout=2)
-            for box, trange in queries[:20]:
-                outcome = r.query(BoundingBox(*box), TimeRange(*trange))
-                assert outcome.result == oracle_scan(rows, box, trange)
-                assert outcome.winner != "quadtree"
-            assert r.worker_status()["quadtree"] is False
-
     def test_delayed_workers_lose_but_results_hold(self, corpus):
         rows, queries = corpus
-        with RaceRunner(build_singles(rows)) as r:
+        with self.runner(build_singles(rows)) as r:
             r.set_delay("geohash", 0.1)
             r.set_delay("ortholist", 0.1)
             for box, trange in queries[:25]:
@@ -151,7 +148,7 @@ class TestFaults:
 
     def test_deadline_enforced(self, corpus):
         rows, queries = corpus
-        with RaceRunner(build_singles(rows)) as r:
+        with self.runner(build_singles(rows)) as r:
             for kind in SINGLE_KINDS:
                 r.set_delay(kind, 0.5)
             box, trange = queries[0]
@@ -164,6 +161,45 @@ class TestFaults:
                 r.query(BoundingBox(*box), TimeRange(*trange)).result
                 == oracle_scan(rows, box, trange)
             )
+
+
+class TestVerification(_VerificationCases):
+    pass
+
+
+class TestVerificationThread(_VerificationCases):
+    backend = "thread"
+
+
+class TestFaults(_FaultCases):
+    def test_killed_worker_process_is_survived(self, corpus):
+        rows, queries = corpus
+        with self.runner(build_singles(rows)) as r:
+            victim = r._workers["quadtree"].handle
+            victim.kill()
+            victim.join(timeout=2)
+            for box, trange in queries[:20]:
+                outcome = r.query(BoundingBox(*box), TimeRange(*trange))
+                assert outcome.result == oracle_scan(rows, box, trange)
+                assert outcome.winner != "quadtree"
+            assert r.worker_status()["quadtree"] is False
+
+
+class TestFaultsThread(_FaultCases):
+    backend = "thread"
+
+
+@pytest.mark.parametrize("backend", ["process", "thread"])
+def test_close_stops_workers_and_closes_pipes(corpus, backend):
+    rows, queries = corpus
+    r = RaceRunner(build_singles(rows), config=RaceConfig(backend=backend))
+    box, trange = queries[0]
+    r.query(BoundingBox(*box), TimeRange(*trange))
+    workers = list(r._workers.values())
+    r.close()
+    for w in workers:
+        assert not w.handle.is_alive()
+        assert w.ends and all(end.closed for end in w.ends)
 
 
 class TestBackendsAndConfig:
