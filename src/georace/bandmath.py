@@ -11,10 +11,16 @@ a negative reflectance, or the denominator is zero, and when the result does
 not fit in float32 (an RVI over a Red reflectance near zero overflows to
 infinity). Grids are float32 throughout; no-data propagates as NaN.
 
+The query path copies no pixels it need not: an index is computed in place
+in one fresh float32 array, which its BandGrid then wraps without a copy,
+and a Mosaic keeps the canvas assemble_mosaic painted. Both are read-only,
+and no writeable array shares their memory.
+
 Mosaics live on a north-up grid aligned to the query box: row 0 is the
 northern edge, column 0 the western edge. Tiles are painted in catalog
 order (capture_time, then tile_id, ascending), so on overlaps the newest
-capture wins, ties resolved by tile_id.
+capture wins, ties resolved by tile_id. A mosaic of more than
+MAX_MOSAIC_PIXELS pixels is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -27,6 +33,9 @@ import numpy as np
 from .errors import ValidationError
 from .geo import BoundingBox
 from .store import BandGrid, TileMetadata
+
+# 4096 x 4096: a 64 MiB float32 canvas (128 MiB more while it renders)
+MAX_MOSAIC_PIXELS = 1 << 24
 
 
 class InfoKind(Enum):
@@ -53,20 +62,22 @@ def compute_index(kind: InfoKind, nir: BandGrid, red: BandGrid) -> BandGrid:
         raise ValidationError(
             f"band dimensions disagree: NIR {nir.values.shape} vs Red {red.values.shape}"
         )
-    n = nir.values.astype(np.float32)
-    r = red.values.astype(np.float32)
-    invalid = np.isnan(n) | np.isnan(r) | (n < 0.0) | (r < 0.0)
+    n = nir.values
+    r = red.values
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if kind is InfoKind.NDVI:
-            denom = n + r
-            out = np.where(denom == 0.0, np.nan, (n - r) / denom)
-        elif kind is InfoKind.RVI:
-            out = np.where(r == 0.0, np.nan, n / r)
+        if kind is InfoKind.RVI:
+            out = np.divide(n, r)
         else:
-            out = n - r
-    out = out.astype(np.float32)
-    out[invalid | ~np.isfinite(out)] = np.nan
-    return BandGrid(kind.value.upper(), out)
+            out = np.subtract(n, r)
+            if kind is InfoKind.NDVI:
+                out /= n + r
+        # A NaN input, a zero denominator and a float32 overflow all leave a
+        # non-finite value; a negative reflectance is the one case left to mask.
+        bad = np.isfinite(out)
+        np.logical_not(bad, out=bad)
+        bad |= np.minimum(n, r) < 0.0
+    out[bad] = np.nan
+    return BandGrid._trusted(kind.value.upper(), out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +99,20 @@ class Mosaic:
         if self.pixel_size_deg <= 0:
             raise ValidationError("pixel size must be positive")
 
+    @classmethod
+    def _adopt(
+        cls, bbox: BoundingBox, canvas: np.ndarray, pixel_size_deg: float,
+        provenance: tuple[str, ...],
+    ) -> "Mosaic":
+        """Take over a canvas this module painted, without a copy; no one
+        else may keep a reference to it."""
+        canvas.flags.writeable = False
+        mosaic = object.__new__(cls)
+        for name, value in (("bbox", bbox), ("values", canvas),
+                            ("pixel_size_deg", pixel_size_deg), ("provenance", provenance)):
+            object.__setattr__(mosaic, name, value)
+        return mosaic
+
     @property
     def rows(self) -> int:
         return self.values.shape[0]
@@ -108,11 +133,27 @@ def _pixel_size(meta: TileMetadata, grid: BandGrid) -> tuple[float, float]:
     )
 
 
-def empty_mosaic(bbox: BoundingBox, pixel_size_deg: float) -> Mosaic:
+def mosaic_shape(bbox: BoundingBox, pixel_size_deg: float) -> tuple[int, int]:
+    """(rows, cols) of the mosaic over bbox; ValidationError above
+    MAX_MOSAIC_PIXELS."""
+    if pixel_size_deg <= 0:
+        raise ValidationError("pixel size must be positive")
     rows = max(1, round(bbox.height / pixel_size_deg))
     cols = max(1, round(bbox.width / pixel_size_deg))
-    values = np.full((rows, cols), np.nan, dtype=np.float32)
-    return Mosaic(bbox, values, pixel_size_deg, ())
+    if rows * cols > MAX_MOSAIC_PIXELS:
+        raise ValidationError(
+            f"query box needs a {rows} x {cols} pixel mosaic, above the limit of "
+            f"{MAX_MOSAIC_PIXELS} pixels; narrow the box"
+        )
+    return rows, cols
+
+
+def _blank(bbox: BoundingBox, pixel_size_deg: float) -> np.ndarray:
+    return np.full(mosaic_shape(bbox, pixel_size_deg), np.nan, dtype=np.float32)
+
+
+def empty_mosaic(bbox: BoundingBox, pixel_size_deg: float) -> Mosaic:
+    return Mosaic._adopt(bbox, _blank(bbox, pixel_size_deg), pixel_size_deg, ())
 
 
 def assemble_mosaic(
@@ -147,16 +188,14 @@ def assemble_mosaic(
         )
     px = size_x
 
-    rows = max(1, round(query_bbox.height / px))
-    cols = max(1, round(query_bbox.width / px))
-    canvas = np.full((rows, cols), np.nan, dtype=np.float32)
+    canvas = _blank(query_bbox, px)
     ordered = sorted(results, key=lambda mg: (mg[0].capture_time, mg[0].tile_id))
     provenance = []
     for meta, grid in ordered:
         if not _paint(canvas, query_bbox, px, meta, grid):
             continue
         provenance.append(meta.tile_id)
-    return Mosaic(query_bbox, canvas, px, tuple(provenance))
+    return Mosaic._adopt(query_bbox, canvas, px, tuple(provenance))
 
 
 def _paint(

@@ -4,7 +4,9 @@ The racing multi-index answers "which tiles" (that is the system's point);
 the catalog is the satellite-filter authority and, in verification mode,
 an independent cross-check of the race result. The selected tiles' bands
 are fetched one tile after another, in catalog order (capture time, then
-tile id), and the mosaic is assembled in that same order.
+tile id), and the mosaic is assembled in that same order. Node liveness is
+read once per query, before the first fetch, and a query box whose mosaic
+would exceed bandmath.MAX_MOSAIC_PIXELS is refused before the race.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .bandmath import InfoKind, Mosaic, assemble_mosaic, compute_index
+from .bandmath import InfoKind, Mosaic, assemble_mosaic, compute_index, mosaic_shape
 from .errors import IndexMismatchError, ValidationError
 from .geo import BoundingBox, TimeRange
 from .indexes import IndexConfig
@@ -113,6 +115,7 @@ class System:
 
 def execute_query(system: System, q: Query, *, verification: bool | None = None) -> QueryResult:
     t_total = time.perf_counter()
+    mosaic_shape(q.bbox, system.pixel_size_deg)
 
     t0 = time.perf_counter()
     outcome = system.runner.query(q.bbox, q.time, verification=verification)
@@ -135,9 +138,11 @@ def execute_query(system: System, q: Query, *, verification: bool | None = None)
     t_select = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    store = system.store
+    live = frozenset(store.live_nodes())
     fetched = [
-        (meta, system.store.fetch_band(meta.tile_id, NIR_BAND),
-         system.store.fetch_band(meta.tile_id, RED_BAND))
+        (meta, store.fetch_band(meta.tile_id, NIR_BAND, live=live),
+         store.fetch_band(meta.tile_id, RED_BAND, live=live))
         for meta in metas
     ]
     t_fetch = time.perf_counter() - t0

@@ -43,7 +43,8 @@ def pack_band(values: np.ndarray) -> bytes:
 
 
 def unpack_band(blob: bytes, *, source: str = "band file") -> np.ndarray:
-    """Parse band-file bytes back into a float32 grid."""
+    """Parse band-file bytes into a float32 grid: a read-only view of the
+    payload in blob, not a copy (copy it to write, or when blob may change)."""
     if len(blob) < _HEADER.size:
         raise CorruptionError(f"{source}: truncated header")
     magic, version, rows, cols = _HEADER.unpack_from(blob)
@@ -57,7 +58,8 @@ def unpack_band(blob: bytes, *, source: str = "band file") -> np.ndarray:
             f"{source}: payload is {len(blob)} bytes, header implies {expected}"
         )
     arr = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(rows, cols)
-    return arr.copy()
+    arr.flags.writeable = False
+    return arr
 
 
 def read_band_dims(path) -> tuple[int, int]:

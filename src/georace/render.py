@@ -4,6 +4,10 @@ Values are clipped to a fixed per-index display range, scaled to bytes
 1..255 (so 0 is reserved for no-data), and written north-up row-major,
 matching the mosaic orientation. NDVI and DVI display over [-1, 1]
 (an NDVI of 0.0 lands on byte 128); RVI displays over [0, 10].
+
+Quantization runs in float64, so every byte is exact, on one float64 copy
+of the grid that each step updates in place; the only other array is the
+uint8 result.
 """
 
 from __future__ import annotations
@@ -25,14 +29,19 @@ NO_DATA_BYTE = 0
 def to_bytes_grid(values: np.ndarray, kind: InfoKind) -> np.ndarray:
     """Quantize a float grid to the display bytes (uint8, same shape)."""
     lo, hi = DISPLAY_RANGES[kind]
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
+    buf = np.array(values, dtype=np.float64)
+    if buf.ndim != 2:
         raise ValidationError("heatmap input must be a 2-D grid")
-    valid = ~np.isnan(arr)
-    norm = np.clip((arr - lo) / (hi - lo), 0.0, 1.0)
-    out = np.zeros(arr.shape, dtype=np.uint8)
-    out[valid] = (np.rint(norm[valid] * 254.0) + 1).astype(np.uint8)
-    return out
+    # rint(clip((v - lo) / (hi - lo), 0, 1) * 254) + 1, one step at a time
+    np.subtract(buf, lo, out=buf)
+    np.divide(buf, hi - lo, out=buf)
+    np.clip(buf, 0.0, 1.0, out=buf)
+    np.multiply(buf, 254.0, out=buf)
+    np.rint(buf, out=buf)
+    np.add(buf, 1.0, out=buf)
+    # no-data is still NaN here, and fmax takes the number over a NaN
+    np.fmax(buf, NO_DATA_BYTE, out=buf)
+    return buf.astype(np.uint8)
 
 
 def render_pgm(mosaic: Mosaic, kind: InfoKind | str) -> bytes:

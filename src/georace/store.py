@@ -1,19 +1,29 @@
 """Replicated tile store: ingest, catalog, coordinate-tree layout, failover.
 
 Storage nodes are directories under <root>/nodes/, each holding a full
-replica tree; a node is "down" while a .down marker file exists in it (the
-marker is checked per access, so failure injected by another process is
-seen immediately). Every tile is written to 3 distinct nodes chosen
-round-robin over the live nodes in ingest order.
+replica tree; a node is "down" while a .down marker file exists in it, so
+failure injected by another process is seen by the next read that checks.
+Every tile is written to 3 distinct nodes chosen round-robin over the live
+nodes in ingest order.
 
 Layout per node:   lon_<FFF>/lat_<FFF>/<YYYY>/<tile_id>/<band>.band
                    lon_<FFF>/lat_<FFF>/<YYYY>/<tile_id>/meta.json
 Catalog:           <root>/catalog.ndjson (one JSON object per tile, same
                    keys as meta.json, insertion order = ingest order)
 
-Replica placement is not persisted separately: the nodes holding a tile are
-discovered by probing node directories in node order, which is also the
-failover order for reads.
+Replica placement is not persisted separately. The nodes holding a tile are
+found by probing the node directories, in node order, which is also the
+failover order for reads. Tiles never move after ingest, so each tile's
+nodes are looked up once, on its first read, and kept; ingest records them
+directly and open probes nothing. A replica file that has gone missing makes
+the read look that tile's nodes up again, once, before it fails over.
+
+Liveness is read from the .down markers once per call of fetch_band, or once
+per query when the engine passes the live nodes in. A read verifies the band
+bytes against their SHA-256 in the catalog; a replica that does not match is
+skipped for the next live one, and CorruptionError, naming every bad node,
+is raised only when no live replica verifies. Verified bytes are decoded
+without a copy: the BandGrid is a read-only view of them.
 """
 
 from __future__ import annotations
@@ -21,6 +31,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+from collections.abc import Collection
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -101,6 +113,19 @@ class BandGrid:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def _trusted(cls, label: str, values: np.ndarray) -> "BandGrid":
+        """Wrap a 2-D float32 grid without copying or checking it.
+
+        For grids this package made: NaN or finite values only, and no
+        writeable array may share their memory (verified immutable bytes, or
+        a fresh result no one else holds)."""
+        values.flags.writeable = False
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "label", label)
+        object.__setattr__(grid, "values", values)
+        return grid
 
     @property
     def rows(self) -> int:
@@ -311,8 +336,10 @@ class TileStore:
         self.root = Path(root)
         self.config = config
         self.node_ids = tuple(f"node_{i:02d}" for i in range(n_nodes))
+        self._node_roots = {node: f"{self.root}/nodes/{node}/" for node in self.node_ids}
         self._rows: list[TileMetadata] = []
         self._by_id: dict[str, TileMetadata] = {}
+        self._holders: dict[str, tuple[str, ...]] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -414,6 +441,7 @@ class TileStore:
             fh.write(row + "\n")
         self._rows.append(meta)
         self._by_id[tile_id] = meta
+        self._holders[tile_id] = tuple(node for node in self.node_ids if node in placement)
         return tile_id
 
     # -- catalog ---------------------------------------------------------------
@@ -451,36 +479,59 @@ class TileStore:
 
     # -- reads -----------------------------------------------------------------
 
+    def _locate(self, tile_id: str) -> tuple[str, ...]:
+        """Probe every node for the tile's directory and keep the result."""
+        rel = tile_dir(self.metadata(tile_id))
+        holders = tuple(
+            node for node in self.node_ids if os.path.isdir(self._node_roots[node] + rel)
+        )
+        self._holders[tile_id] = holders
+        return holders
+
     def placement(self, tile_id: str) -> list[str]:
         """Nodes holding this tile, in node (= failover) order."""
-        meta = self.metadata(tile_id)
-        rel = tile_dir(meta)
-        return [
-            node
-            for node in self.node_ids
-            if (self.root / "nodes" / node / rel).is_dir()
-        ]
+        return list(self._holders.get(tile_id) or self._locate(tile_id))
 
-    def fetch_band(self, tile_id: str, band_label: str) -> BandGrid:
+    def fetch_band(
+        self, tile_id: str, band_label: str, *, live: Collection[str] | None = None
+    ) -> BandGrid:
+        """One band from the first live replica whose bytes match the catalog's
+        SHA-256. live: the nodes to treat as up; None reads each holder's
+        .down marker."""
         meta = self.metadata(tile_id)
         if band_label not in meta.band_labels:
             raise ValidationError(f"tile {tile_id} has no band {band_label!r}")
         rel = tile_path(meta, band_label)
-        holders = self.placement(tile_id)
-        tried = 0
-        for node in holders:
-            if not self.node_alive(node):
-                continue
-            tried += 1
-            blob = (self.root / "nodes" / node / rel).read_bytes()
-            digest = hashlib.sha256(blob).hexdigest()
-            if digest != meta.checksums[band_label]:
-                raise CorruptionError(
-                    f"checksum mismatch for {tile_id}/{band_label} on {node}"
-                )
-            return BandGrid(band_label, formats.unpack_band(blob, source=rel))
+        expected = meta.checksums[band_label]
+        holders = self._holders.get(tile_id) or self._locate(tile_id)
+        tried: list[str] = []
+        corrupt: list[str] = []
+        for attempt in range(2):
+            for node in holders:
+                if node in tried or not (
+                    self.node_alive(node) if live is None else node in live
+                ):
+                    continue
+                tried.append(node)
+                try:
+                    with open(self._node_roots[node] + rel, "rb") as fh:
+                        blob = fh.read()
+                except FileNotFoundError:
+                    if attempt == 0:
+                        break  # the kept placement is stale: look it up again
+                    continue
+                if hashlib.sha256(blob).hexdigest() == expected:
+                    return BandGrid._trusted(band_label, formats.unpack_band(blob, source=rel))
+                corrupt.append(node)
+            else:
+                break
+            holders = self._locate(tile_id)
+        if corrupt:
+            raise CorruptionError(
+                f"checksum mismatch for {tile_id}/{band_label} on {', '.join(corrupt)}"
+            )
         raise UnavailableError(
-            f"no live replica for tile {tile_id} ({len(holders)} holders, {tried} readable)"
+            f"no live replica for tile {tile_id} ({len(holders)} holders, {len(tried)} readable)"
         )
 
     def band_dims(self, tile_id: str) -> tuple[int, int]:
@@ -489,7 +540,7 @@ class TileStore:
         rel = tile_path(meta, meta.band_labels[0])
         for node in self.placement(tile_id):
             if self.node_alive(node):
-                return formats.read_band_dims(self.root / "nodes" / node / rel)
+                return formats.read_band_dims(self._node_roots[node] + rel)
         raise UnavailableError(f"no live replica for tile {tile_id}")
 
     # -- scene files -------------------------------------------------------------

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from georace.bandmath import (
+    MAX_MOSAIC_PIXELS,
     InfoKind,
     Mosaic,
     assemble_mosaic,
     compute_index,
     empty_mosaic,
+    mosaic_shape,
 )
 from georace.errors import ValidationError
 from georace.geo import BoundingBox
@@ -33,6 +35,30 @@ def pixel_oracle(kind, n, r):
     if kind is InfoKind.RVI:
         return math.nan if r == 0.0 else n / r
     return n - r
+
+
+def reference_index(kind, n, r):
+    """compute_index as first written: float32 copies, np.where on the
+    denominator, one no-data mask at the end."""
+    n = n.astype(np.float32)
+    r = r.astype(np.float32)
+    invalid = np.isnan(n) | np.isnan(r) | (n < 0.0) | (r < 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if kind is InfoKind.NDVI:
+            denom = n + r
+            out = np.where(denom == 0.0, np.nan, (n - r) / denom)
+        elif kind is InfoKind.RVI:
+            out = np.where(r == 0.0, np.nan, n / r)
+        else:
+            out = n - r
+    out = out.astype(np.float32)
+    out[invalid | ~np.isfinite(out)] = np.nan
+    return out
+
+
+def band_pairs(*pixels):
+    """(NIR, Red) pixel pairs as a 1 x k x 2 float32 array."""
+    return np.array([pixels], dtype=np.float32)
 
 
 def meta_for(tile_id, bbox, capture_time, satellite="landsat8"):
@@ -150,6 +176,45 @@ class TestComputeIndex:
         if kind is InfoKind.RVI:
             ok = ~np.isnan(out)
             assert np.all(out[ok] >= 0.0)
+
+
+    @given(
+        kind=st.sampled_from(list(InfoKind)),
+        bands=hnp.arrays(
+            np.float32,
+            st.tuples(st.integers(1, 8), st.integers(1, 8), st.just(2)),
+            elements=st.one_of(
+                st.floats(-1.0, 2.0, width=32),
+                st.sampled_from([math.nan, 0.0, -0.0, 1e-45, -1e-45, 3e38]),
+                st.floats(allow_infinity=False, width=32),
+            ),
+        ),
+    )
+    @example(kind=InfoKind.NDVI, bands=band_pairs((math.nan, 0.5), (0.5, math.nan)))
+    @example(kind=InfoKind.RVI, bands=band_pairs((-0.1, 0.5), (0.5, -0.5), (-0.0, 0.5)))
+    @example(kind=InfoKind.NDVI, bands=band_pairs((0.0, 0.0), (0.0, -0.0), (-0.0, 0.0)))
+    @example(kind=InfoKind.RVI, bands=band_pairs((0.0, 0.0), (0.7, 0.0)))
+    @example(kind=InfoKind.DVI, bands=band_pairs((0.0, 0.0), (-0.0, 0.0), (math.nan, 1.0)))
+    @example(kind=InfoKind.RVI, bands=band_pairs((1.0, 1e-45)))
+    @example(kind=InfoKind.DVI, bands=band_pairs((3e38, -3e38), (0.2, 0.7)))
+    @settings(max_examples=200, deadline=None)
+    def test_bits_match_reference(self, kind, bands):
+        n, r = bands[..., 0], bands[..., 1]
+        got = compute_index(kind, grid(n), grid(r, "Red")).values
+        want = reference_index(kind, n, r)
+        assert got.dtype == np.float32 and got.shape == n.shape
+        assert got.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+
+    def test_result_read_only_and_unshared(self):
+        rng = np.random.default_rng(5)
+        n = rng.uniform(-0.1, 1.0, (16, 16)).astype(np.float32)
+        r = rng.uniform(-0.1, 1.0, (16, 16)).astype(np.float32)
+        nir, red = grid(n), grid(r, "Red")
+        results = [compute_index(kind, nir, red).values for kind in InfoKind]
+        for i, out in enumerate(results):
+            assert not out.flags.writeable
+            for other in [n, r, nir.values, red.values] + results[i + 1:]:
+                assert not np.shares_memory(out, other)
 
 
 class TestMosaic:
@@ -295,8 +360,53 @@ class TestMosaic:
         with pytest.raises(ValueError):
             out.values[0, 0] = 1.0
 
+    def test_assembled_canvas_read_only_and_unshared(self):
+        bbox = BoundingBox(0.0, 1.0, 0.0, 1.0)
+        vals = np.arange(16, dtype=np.float32).reshape(4, 4)
+        tile = grid(vals)
+        mosaic = assemble_mosaic([(meta_for("t", bbox, 0), tile)], bbox)
+        assert not mosaic.values.flags.writeable
+        with pytest.raises(ValueError):
+            mosaic.values[0, 0] = 1.0
+        assert not np.shares_memory(mosaic.values, vals)
+        assert not np.shares_memory(mosaic.values, tile.values)
+
+    def test_pixel_size_must_be_positive(self):
+        with pytest.raises(ValidationError, match="positive"):
+            empty_mosaic(BoundingBox(0.0, 1.0, 0.0, 1.0), 0.0)
+
     def test_mosaic_grid_must_be_two_dimensional(self):
         with pytest.raises(ValidationError):
             Mosaic(BoundingBox(0.0, 1.0, 0.0, 1.0), np.zeros(4, np.float32), 0.5, ())
         with pytest.raises(ValidationError):
             Mosaic(BoundingBox(0.0, 1.0, 0.0, 1.0), np.zeros((2, 2), np.float32), -0.5, ())
+
+
+class TestMosaicLimit:
+    WORLD = BoundingBox(-180.0, 180.0, -90.0, 90.0)
+    PX = 0.25 / 256.0  # the default pixel size: 184320 x 368640 pixels, ~253 GiB
+
+    def test_limit_is_inclusive(self):
+        px = 2.0**-6
+        rows = 2048
+        cols = MAX_MOSAIC_PIXELS // rows
+        assert rows * cols == MAX_MOSAIC_PIXELS
+        assert mosaic_shape(BoundingBox(0.0, cols * px, 0.0, rows * px), px) == (rows, cols)
+        with pytest.raises(ValidationError, match="limit"):
+            mosaic_shape(BoundingBox(0.0, (cols + 1) * px, 0.0, rows * px), px)
+
+    def test_world_box_refused_before_allocation(self):
+        import tracemalloc
+
+        tile = (meta_for("t", BoundingBox(0.0, 0.25, 0.0, 0.25), 0), grid(np.zeros((256, 256))))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            with pytest.raises(ValidationError, match="limit"):
+                empty_mosaic(self.WORLD, self.PX)
+            with pytest.raises(ValidationError, match="limit"):
+                assemble_mosaic([tile], self.WORLD)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -129,6 +129,12 @@ class TestQuery:
         argv = query_argv(store, spec, **{"min-lon": 10.0, "max-lon": 5.0})
         assert main(argv) == EXIT_VALIDATION
 
+    def test_world_box_is_validation_error(self, ingested, capsys):
+        store, spec = ingested
+        world = {"min-lon": -180.0, "max-lon": 180.0, "min-lat": -90.0, "max-lat": 90.0}
+        assert main(query_argv(store, spec, **world)) == EXIT_VALIDATION
+        assert "limit" in capsys.readouterr().err
+
     def test_missing_store_is_validation_error(self, tmp_path, ingested):
         _, spec = ingested
         argv = query_argv(tmp_path / "absent", spec)

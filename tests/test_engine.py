@@ -175,6 +175,42 @@ class TestFailureTransparency:
             system.store.restore_node("node_01")
         assert degraded == healthy
 
+    def test_liveness_read_once_per_query(self, system, monkeypatch):
+        checks = []
+        alive = TileStore.node_alive
+
+        def counting(store, node):
+            checks.append(node)
+            return alive(store, node)
+
+        monkeypatch.setattr(TileStore, "node_alive", counting)
+        res = execute_query(system, Query(corpus_extent(SPEC), corpus_timespan(SPEC), "ndvi"))
+        assert res.tile_count == SPEC.count
+        assert sorted(checks) == sorted(system.store.node_ids)
+
+    def test_fail_node_between_queries_is_honoured(self, system, monkeypatch):
+        import georace.store
+
+        q = Query(corpus_extent(SPEC), corpus_timespan(SPEC), "ndvi")
+        healthy = execute_query(system, q).mosaic.values.tobytes()
+        opened = []
+
+        def spy(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(georace.store, "open", spy, raising=False)
+        system.store.fail_node("node_00")
+        try:
+            degraded = execute_query(system, q).mosaic.values.tobytes()
+        finally:
+            system.store.restore_node("node_00")
+        assert degraded == healthy
+        assert opened and not any("/node_00/" in path for path in opened)
+        opened.clear()
+        execute_query(system, q)
+        assert any("/node_00/" in path for path in opened)
+
     def test_all_nodes_down_propagates_unavailable(self, system):
         for node in system.store.node_ids:
             system.store.fail_node(node)

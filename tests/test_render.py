@@ -1,7 +1,12 @@
 """PGM heatmap rendering."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from georace.bandmath import InfoKind, Mosaic
 from georace.errors import ValidationError
@@ -13,6 +18,31 @@ from georace.render import (
     to_bytes_grid,
     write_pgm,
 )
+
+
+def reference_bytes_grid(values, kind):
+    """The quantization as first written: gather the valid pixels, quantize
+    them, scatter their bytes into a zeroed grid."""
+    lo, hi = DISPLAY_RANGES[kind]
+    arr = np.asarray(values, dtype=np.float64)
+    valid = ~np.isnan(arr)
+    norm = np.clip((arr - lo) / (hi - lo), 0.0, 1.0)
+    out = np.zeros(arr.shape, dtype=np.uint8)
+    out[valid] = (np.rint(norm[valid] * 254.0) + 1).astype(np.uint8)
+    return out
+
+
+# Every kind's clip edges, their float32 neighbours on both sides, the
+# float32 values whose scaled value is exactly k + 0.5 (NDVI/DVI -0.5 and 0.5
+# give 63.5 and 190.5; RVI 2.5 and 7.5 do too), a signed zero and no-data.
+_EDGES = [-1.0, 1.0, 0.0, 10.0, -0.5, 0.5, 2.5, 7.5, -0.0, math.nan]
+# float32 values that land on another byte when quantized in float32
+_EDGES += [0.05118102580308914, 0.9803149104118347, 7.342519760131836, 5.688976764678955]
+_EDGES += [float(np.nextafter(np.float32(v), np.float32(d)))
+           for v in (-1.0, 1.0, 0.0, 10.0) for d in (-math.inf, math.inf)]
+EDGE_GRID = np.array(_EDGES, dtype=np.float32).reshape(2, -1)
+# float64 input keeps more half-way points exact: k = 15 for NDVI/DVI, 0 for RVI
+HALFWAY_F64 = np.array([[-0.8779527559055118, 0.01968503937007874, math.nan]])
 
 
 def mosaic_of(values):
@@ -60,6 +90,37 @@ class TestQuantization:
 
     def test_display_ranges_cover_all_kinds(self):
         assert set(DISPLAY_RANGES) == set(InfoKind)
+
+    @given(
+        kind=st.sampled_from(list(InfoKind)),
+        values=hnp.arrays(
+            np.float32,
+            st.tuples(st.integers(1, 8), st.integers(1, 8)),
+            elements=st.one_of(
+                st.floats(-12.0, 12.0, width=32),
+                st.sampled_from(_EDGES),
+                st.floats(width=32),
+            ),
+        ),
+    )
+    @example(kind=InfoKind.NDVI, values=EDGE_GRID)
+    @example(kind=InfoKind.RVI, values=EDGE_GRID)
+    @example(kind=InfoKind.DVI, values=EDGE_GRID)
+    @example(kind=InfoKind.NDVI, values=HALFWAY_F64)
+    @example(kind=InfoKind.RVI, values=HALFWAY_F64)
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_reference(self, kind, values):
+        want = reference_bytes_grid(values, kind)
+        got = to_bytes_grid(values, kind)
+        assert got.dtype == np.uint8 and got.shape == values.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_input_left_unchanged(self):
+        for dtype in (np.float32, np.float64):
+            vals = np.array([[-2.0, 0.3, np.nan, 4.0]], dtype=dtype)
+            before = vals.tobytes()
+            to_bytes_grid(vals, InfoKind.NDVI)
+            assert vals.tobytes() == before
 
 
 class TestPgm:

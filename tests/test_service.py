@@ -130,6 +130,26 @@ class TestQuery:
         status, _ = call(service, "/v1/query", query_body(min_lon="west"))
         assert status == 400
 
+    def test_world_box_is_400_and_allocates_nothing(self, service, monkeypatch):
+        import tracemalloc
+
+        from georace.bandmath import MAX_MOSAIC_PIXELS
+
+        px = service.system.pixel_size_deg
+        assert (360.0 / px) * (180.0 / px) > MAX_MOSAIC_PIXELS
+        monkeypatch.setattr(TileStore, "fetch_band", lambda *a, **k: pytest.fail("fetch"))
+        world = query_body(min_lon=-180.0, max_lon=180.0, min_lat=-90.0, max_lat=90.0)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            status, doc = call(service, "/v1/query", world)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == 400
+        assert "limit" in doc["error"]
+        assert peak < 1 << 20
+
     def test_non_json_body_is_400(self, service):
         url = f"http://127.0.0.1:{service.port}/v1/query"
         req = urllib.request.Request(url, data=b"not json", method="POST")

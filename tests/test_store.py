@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -114,9 +115,12 @@ class TestIngest:
         store = TileStore.create(tmp_path / "s5", nodes=5)
         for i in range(5):
             store.ingest(scene_at(10.0 + i, 20.0, 1000 + i))
+        reopened = TileStore.open(store.root)
         for i, meta in enumerate(store.catalog_rows()):
-            expected = {f"node_{(i + j) % 5:02d}" for j in range(3)}
-            assert set(store.placement(meta.tile_id)) == expected
+            expected = sorted(f"node_{(i + j) % 5:02d}" for j in range(3))
+            # kept at ingest, probed after open: both in node (failover) order
+            assert store.placement(meta.tile_id) == expected
+            assert reopened.placement(meta.tile_id) == expected
 
     def test_ingest_scene_file_matches_direct_ingest(self, store, tmp_path):
         spec = SceneSpec(count=1, size_px=8)
@@ -208,16 +212,56 @@ class TestFetch:
         assert store.fetch_band(tile_id, "NIR").values.tobytes() == reference
 
     def test_corruption_names_the_node(self, store):
-        tile_id = store.ingest(scene_at(10.0, 20.0, 1000))
+        scene = scene_at(10.0, 20.0, 1000)
+        tile_id = store.ingest(scene)
         meta = store.metadata(tile_id)
-        first = store.placement(tile_id)[0]
-        victim = store.root / "nodes" / first / tile_path(meta, "NIR")
-        victim.write_bytes(victim.read_bytes()[:-4] + b"\xde\xad\xbe\xef")
-        with pytest.raises(CorruptionError, match=first):
+        holders = store.placement(tile_id)
+
+        def corrupt(node):
+            victim = store.root / "nodes" / node / tile_path(meta, "NIR")
+            victim.write_bytes(victim.read_bytes()[:-4] + b"\xde\xad\xbe\xef")
+
+        # one corrupt replica: the read fails over to the next one
+        corrupt(holders[0])
+        assert store.fetch_band(tile_id, "NIR").values.tobytes() == scene.band("NIR").tobytes()
+        # every replica corrupt: the error names all of them
+        corrupt(holders[1])
+        corrupt(holders[2])
+        with pytest.raises(CorruptionError) as info:
             store.fetch_band(tile_id, "NIR")
-        # failing the corrupt node reroutes to a clean replica
-        store.fail_node(first)
-        assert store.fetch_band(tile_id, "NIR").values is not None
+        for node in holders:
+            assert node in str(info.value)
+
+    def test_deleted_replica_served_from_next(self, store):
+        scene = scene_at(10.0, 20.0, 1000)
+        tile_id = store.ingest(scene)
+        reopened = TileStore.open(store.root)
+        for st in (store, reopened):
+            st.fetch_band(tile_id, "NIR")
+        holders = store.placement(tile_id)
+        shutil.rmtree(store.root / "nodes" / holders[0] / tile_dir(store.metadata(tile_id)))
+        for st in (store, reopened):
+            assert st.fetch_band(tile_id, "Red").values.tobytes() == scene.band("Red").tobytes()
+            assert st.placement(tile_id) == holders[1:]
+
+    def test_live_set_replaces_marker_checks(self, store, monkeypatch):
+        tile_id = store.ingest(scene_at(10.0, 20.0, 1000))
+        holders = store.placement(tile_id)
+        monkeypatch.setattr(TileStore, "node_alive", lambda self, node: pytest.fail("stat"))
+        assert store.fetch_band(tile_id, "NIR", live=frozenset(holders[1:])) is not None
+        with pytest.raises(UnavailableError):
+            store.fetch_band(tile_id, "NIR", live=frozenset())
+
+    def test_fetch_is_read_only_and_unshared(self, store):
+        scene = scene_at(10.0, 20.0, 1000)
+        tile_id = store.ingest(scene)
+        first = store.fetch_band(tile_id, "NIR").values
+        second = store.fetch_band(tile_id, "NIR").values
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first.flags.writeable = True
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, scene.band("NIR"))
 
     def test_checksums_cover_file_bytes(self, store):
         tile_id = store.ingest(scene_at(10.0, 20.0, 1000))
