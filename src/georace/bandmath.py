@@ -11,16 +11,25 @@ a negative reflectance, or the denominator is zero, and when the result does
 not fit in float32 (an RVI over a Red reflectance near zero overflows to
 infinity). Grids are float32 throughout; no-data propagates as NaN.
 
-The query path copies no pixels it need not: an index is computed in place
-in one fresh float32 array, which its BandGrid then wraps without a copy,
-and a Mosaic keeps the canvas assemble_mosaic painted. Both are read-only,
-and no writeable array shares their memory.
-
 Mosaics live on a north-up grid aligned to the query box: row 0 is the
 northern edge, column 0 the western edge. Tiles are painted in catalog
 order (capture_time, then tile_id, ascending), so on overlaps the newest
 capture wins, ties resolved by tile_id. A mosaic of more than
 MAX_MOSAIC_PIXELS pixels is refused before anything is allocated.
+
+One layout step serves both mosaics: it checks that all tiles share one
+square pixel size, finds each tile's overlap with the canvas, and walks the
+tiles newest to oldest over a mask of claimed pixels, so a tile that newer
+tiles cover on every pixel of its overlap is not painted at all. The
+provenance still names every tile with a positive-area overlap.
+assemble_mosaic paints finished grids; index_mosaic, the query path, runs
+the band-math kernel on each painted tile's overlap only, writing straight
+into the canvas, so no pixel outside the query box or under a newer tile is
+computed. Elementwise math on a crop gives the same bits as the same math
+on the whole tile, so the two mosaics agree byte for byte.
+
+Results are read-only: an index is computed into one fresh float32 array,
+which its BandGrid wraps without a copy, and a Mosaic keeps its canvas.
 """
 
 from __future__ import annotations
@@ -54,21 +63,20 @@ class InfoKind(Enum):
             raise ValidationError(f"unknown info kind {name!r} (expected one of {valid})") from None
 
 
-def compute_index(kind: InfoKind, nir: BandGrid, red: BandGrid) -> BandGrid:
-    """One vegetation index, pixel-wise, dimensions preserved."""
-    if not isinstance(kind, InfoKind):
-        kind = InfoKind.parse(kind)
+def _check_dims(nir: BandGrid, red: BandGrid) -> None:
     if nir.values.shape != red.values.shape:
         raise ValidationError(
             f"band dimensions disagree: NIR {nir.values.shape} vs Red {red.values.shape}"
         )
-    n = nir.values
-    r = red.values
+
+
+def _index_into(kind: InfoKind, n: np.ndarray, r: np.ndarray, out: np.ndarray) -> None:
+    """The band-math kernel: one index over float32 n and r, written into out."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if kind is InfoKind.RVI:
-            out = np.divide(n, r)
+            np.divide(n, r, out=out)
         else:
-            out = np.subtract(n, r)
+            np.subtract(n, r, out=out)
             if kind is InfoKind.NDVI:
                 out /= n + r
         # A NaN input, a zero denominator and a float32 overflow all leave a
@@ -77,6 +85,14 @@ def compute_index(kind: InfoKind, nir: BandGrid, red: BandGrid) -> BandGrid:
         np.logical_not(bad, out=bad)
         bad |= np.minimum(n, r) < 0.0
     out[bad] = np.nan
+
+
+def compute_index(kind: InfoKind, nir: BandGrid, red: BandGrid) -> BandGrid:
+    """One vegetation index, pixel-wise, dimensions preserved."""
+    kind = InfoKind.parse(kind)
+    _check_dims(nir, red)
+    out = np.empty(nir.values.shape, dtype=np.float32)
+    _index_into(kind, nir.values, red.values, out)
     return BandGrid._trusted(kind.value.upper(), out)
 
 
@@ -126,13 +142,6 @@ class Mosaic:
         return np.isnan(self.values)
 
 
-def _pixel_size(meta: TileMetadata, grid: BandGrid) -> tuple[float, float]:
-    return (
-        meta.bbox.width / grid.cols,
-        meta.bbox.height / grid.rows,
-    )
-
-
 def mosaic_shape(bbox: BoundingBox, pixel_size_deg: float) -> tuple[int, int]:
     """(rows, cols) of the mosaic over bbox; ValidationError above
     MAX_MOSAIC_PIXELS."""
@@ -148,12 +157,82 @@ def mosaic_shape(bbox: BoundingBox, pixel_size_deg: float) -> tuple[int, int]:
     return rows, cols
 
 
-def _blank(bbox: BoundingBox, pixel_size_deg: float) -> np.ndarray:
-    return np.full(mosaic_shape(bbox, pixel_size_deg), np.nan, dtype=np.float32)
+def _blank(shape: tuple[int, int]) -> np.ndarray:
+    return np.full(shape, np.nan, dtype=np.float32)
 
 
 def empty_mosaic(bbox: BoundingBox, pixel_size_deg: float) -> Mosaic:
-    return Mosaic._adopt(bbox, _blank(bbox, pixel_size_deg), pixel_size_deg, ())
+    return Mosaic._adopt(bbox, _blank(mosaic_shape(bbox, pixel_size_deg)), pixel_size_deg, ())
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where each tile lands on the canvas, and which tiles keep a pixel."""
+
+    pixel_size_deg: float
+    shape: tuple[int, int]
+    provenance: tuple[str, ...]  # every tile with a positive-area overlap, in paint order
+    # (position in the input, canvas window, tile window) of each tile that
+    # keeps at least one pixel, in paint order
+    paint: tuple[tuple[int, tuple[slice, slice], tuple[slice, slice]], ...]
+
+
+def _layout(
+    tiles: list[tuple[TileMetadata, tuple[int, int]]],
+    query_bbox: BoundingBox,
+    pixel_size_deg: float | None,
+) -> _Layout:
+    """Lay out tiles given as (metadata, (rows, cols)) on the query's canvas.
+
+    All tiles must share one square pixel size (no resampling), equal to
+    pixel_size_deg when that is given; an empty mosaic needs pixel_size_deg.
+    """
+    if not tiles:
+        if pixel_size_deg is None:
+            raise ValidationError("pixel size required for an empty mosaic")
+        return _Layout(pixel_size_deg, mosaic_shape(query_bbox, pixel_size_deg), (), ())
+
+    sizes = {
+        (round(meta.bbox.width / cols, 12), round(meta.bbox.height / rows, 12))
+        for meta, (rows, cols) in tiles
+    }
+    if len(sizes) != 1:
+        raise ValidationError(f"tiles disagree on pixel size: {sorted(sizes)}")
+    size_x, size_y = next(iter(sizes))
+    if abs(size_x - size_y) > 1e-9:
+        raise ValidationError(f"pixels must be square, got {size_x} x {size_y}")
+    if pixel_size_deg is not None and abs(size_x - pixel_size_deg) > 1e-9:
+        raise ValidationError(
+            f"tiles have pixel size {size_x}, expected {pixel_size_deg}"
+        )
+    px = size_x
+    rows, cols = shape = mosaic_shape(query_bbox, px)
+
+    order = sorted(range(len(tiles)), key=lambda i: (tiles[i][0].capture_time, tiles[i][0].tile_id))
+    overlaps = []
+    for i in order:
+        meta, (height, width) = tiles[i]
+        # tile's top-left pixel lands at this canvas offset (may be negative)
+        off_r = round((query_bbox.max_lat - meta.bbox.max_lat) / px)
+        off_c = round((meta.bbox.min_lon - query_bbox.min_lon) / px)
+        r0, c0 = max(0, off_r), max(0, off_c)
+        r1, c1 = min(rows, off_r + height), min(cols, off_c + width)
+        if r0 < r1 and c0 < c1:
+            overlaps.append((i, (slice(r0, r1), slice(c0, c1)),
+                             (slice(r0 - off_r, r1 - off_r), slice(c0 - off_c, c1 - off_c))))
+
+    # Newest first: a tile whose whole overlap newer tiles have claimed would
+    # be painted over entirely, so it is left out.
+    claimed = np.zeros(shape, dtype=bool)
+    paint = []
+    for overlap in reversed(overlaps):
+        window = claimed[overlap[1]]
+        if not window.all():
+            window[...] = True
+            paint.append(overlap)
+    paint.reverse()
+    provenance = tuple(tiles[i][0].tile_id for i, _, _ in overlaps)
+    return _Layout(px, shape, provenance, tuple(paint))
 
 
 def assemble_mosaic(
@@ -168,54 +247,30 @@ def assemble_mosaic(
     the newest capture win overlapping pixels. Pixels no tile covers stay
     no-data. All tiles must share one pixel size (no resampling).
     """
-    if not results:
-        if pixel_size_deg is None:
-            raise ValidationError("pixel size required for an empty mosaic")
-        return empty_mosaic(query_bbox, pixel_size_deg)
-
-    sizes = set()
-    for meta, grid in results:
-        sx, sy = _pixel_size(meta, grid)
-        sizes.add((round(sx, 12), round(sy, 12)))
-    if len(sizes) != 1:
-        raise ValidationError(f"tiles disagree on pixel size: {sorted(sizes)}")
-    size_x, size_y = next(iter(sizes))
-    if abs(size_x - size_y) > 1e-9:
-        raise ValidationError(f"pixels must be square, got {size_x} x {size_y}")
-    if pixel_size_deg is not None and abs(size_x - pixel_size_deg) > 1e-9:
-        raise ValidationError(
-            f"tiles have pixel size {size_x}, expected {pixel_size_deg}"
-        )
-    px = size_x
-
-    canvas = _blank(query_bbox, px)
-    ordered = sorted(results, key=lambda mg: (mg[0].capture_time, mg[0].tile_id))
-    provenance = []
-    for meta, grid in ordered:
-        if not _paint(canvas, query_bbox, px, meta, grid):
-            continue
-        provenance.append(meta.tile_id)
-    return Mosaic._adopt(query_bbox, canvas, px, tuple(provenance))
+    layout = _layout([(meta, grid.values.shape) for meta, grid in results],
+                     query_bbox, pixel_size_deg)
+    canvas = _blank(layout.shape)
+    for i, dst, src in layout.paint:
+        canvas[dst] = results[i][1].values[src]
+    return Mosaic._adopt(query_bbox, canvas, layout.pixel_size_deg, layout.provenance)
 
 
-def _paint(
-    canvas: np.ndarray,
+def index_mosaic(
+    kind: InfoKind,
+    tiles: list[tuple[TileMetadata, BandGrid, BandGrid]],
     query_bbox: BoundingBox,
-    px: float,
-    meta: TileMetadata,
-    grid: BandGrid,
-) -> bool:
-    """Copy the overlap between one tile and the canvas; True if any pixel."""
-    rows, cols = canvas.shape
-    # tile's top-left pixel lands at this canvas offset (may be negative)
-    off_r = round((query_bbox.max_lat - meta.bbox.max_lat) / px)
-    off_c = round((meta.bbox.min_lon - query_bbox.min_lon) / px)
-    src = grid.values
-    r0 = max(0, off_r)
-    c0 = max(0, off_c)
-    r1 = min(rows, off_r + src.shape[0])
-    c1 = min(cols, off_c + src.shape[1])
-    if r0 >= r1 or c0 >= c1:
-        return False
-    canvas[r0:r1, c0:c1] = src[r0 - off_r : r1 - off_r, c0 - off_c : c1 - off_c]
-    return True
+    *,
+    pixel_size_deg: float | None = None,
+) -> Mosaic:
+    """assemble_mosaic over compute_index of each (metadata, NIR, Red), with
+    the index computed only over the pixels that reach the mosaic."""
+    kind = InfoKind.parse(kind)
+    for _, nir, red in tiles:
+        _check_dims(nir, red)
+    layout = _layout([(meta, nir.values.shape) for meta, nir, _ in tiles],
+                     query_bbox, pixel_size_deg)
+    canvas = _blank(layout.shape)
+    for i, dst, src in layout.paint:
+        _, nir, red = tiles[i]
+        _index_into(kind, nir.values[src], red.values[src], canvas[dst])
+    return Mosaic._adopt(query_bbox, canvas, layout.pixel_size_deg, layout.provenance)

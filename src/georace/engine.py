@@ -4,9 +4,13 @@ The racing multi-index answers "which tiles" (that is the system's point);
 the catalog is the satellite-filter authority and, in verification mode,
 an independent cross-check of the race result. The selected tiles' bands
 are fetched one tile after another, in catalog order (capture time, then
-tile id), and the mosaic is assembled in that same order. Node liveness is
-read once per query, before the first fetch, and a query box whose mosaic
-would exceed bandmath.MAX_MOSAIC_PIXELS is refused before the race.
+tile id), and every band of every selected tile is read and verified, even
+a tile the mosaic will not show. bandmath.index_mosaic then computes the
+vegetation index only over the pixels that reach the mosaic: each tile's
+overlap with the query box, and only for tiles that newer captures do not
+cover entirely. Node liveness is read once per query, before the first
+fetch, and a query box whose mosaic would exceed
+bandmath.MAX_MOSAIC_PIXELS is refused before the race.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .bandmath import InfoKind, Mosaic, assemble_mosaic, compute_index, mosaic_shape
+from .bandmath import InfoKind, Mosaic, index_mosaic, mosaic_shape
 from .errors import IndexMismatchError, ValidationError
 from .geo import BoundingBox, TimeRange
 from .indexes import IndexConfig
@@ -148,8 +152,9 @@ def execute_query(system: System, q: Query, *, verification: bool | None = None)
     t_fetch = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    tiles = [(meta, compute_index(q.info, nir, red)) for meta, nir, red in fetched]
-    mosaic = assemble_mosaic(tiles, q.bbox, pixel_size_deg=None if tiles else system.pixel_size_deg)
+    mosaic = index_mosaic(
+        q.info, fetched, q.bbox, pixel_size_deg=None if fetched else system.pixel_size_deg
+    )
     t_compute = time.perf_counter() - t0
 
     timings = StageTimings(

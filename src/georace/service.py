@@ -12,7 +12,11 @@ trouble (no live replica, replication shortfall, corruption) 503, query
 deadline overruns 504. The query body carries the box, the closed time
 range in epoch seconds, the index kind, and an optional satellite filter:
 {min_lon, max_lon, min_lat, max_lat, start_time, end_time, info, satellite?}.
-The response embeds the rendered PGM heatmap as base64.
+The response embeds the rendered PGM heatmap as base64, as its last key.
+Base64 output needs no JSON escaping, so the reply body is the JSON of the
+other keys with the base64 bytes spliced in, not a pass of the encoder
+over the image. A malformed Content-Length is a 400 that also closes the
+connection, since the request's end can no longer be found.
 """
 
 from __future__ import annotations
@@ -70,11 +74,12 @@ def _parse_query(doc: dict) -> Query:
     return Query(bbox, trange, InfoKind.parse(doc["info"]), satellite)
 
 
-def handle_query(system: System, doc: dict) -> dict:
+def _answer(system: System, doc: dict) -> tuple[dict, bytes]:
+    """A query's reply fields but the image, and the image as base64 bytes."""
     q = _parse_query(doc)
     res = execute_query(system, q)
     pgm = render_pgm(res.mosaic, q.info)
-    return {
+    fields = {
         "tile_count": res.tile_count,
         "tile_ids": list(res.tile_ids),
         "winner": res.race.winner,
@@ -84,8 +89,23 @@ def handle_query(system: System, doc: dict) -> dict:
             "cols": res.mosaic.cols,
             "pixel_size_deg": res.mosaic.pixel_size_deg,
         },
-        "image_b64": base64.b64encode(pgm).decode("ascii"),
     }
+    return fields, base64.b64encode(pgm)
+
+
+def handle_query(system: System, doc: dict) -> dict:
+    fields, image_b64 = _answer(system, doc)
+    fields["image_b64"] = image_b64.decode("ascii")
+    return fields
+
+
+def _json_body(doc: dict, image_b64: bytes | None = None) -> bytes:
+    """json.dumps(doc), with an "image_b64" key last when image_b64 is given."""
+    body = json.dumps(doc).encode("utf-8")
+    if image_b64 is None:
+        return body
+    key = b', "image_b64": "' if doc else b'"image_b64": "'
+    return b"".join((body[:-1], key, image_b64, b'"}'))
 
 
 def _node_listing(system: System) -> list[dict]:
@@ -101,16 +121,25 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # keep test output clean
         pass
 
-    def _reply(self, code: int, doc: dict) -> None:
-        body = json.dumps(doc).encode("utf-8")
+    def _reply(self, code: int, doc: dict, image_b64: bytes | None = None) -> None:
+        body = _json_body(doc, image_b64)
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise ValidationError(f"malformed Content-Length: {declared!r}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ValidationError("request body must be a JSON object")
@@ -138,7 +167,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         try:
             if self.path == "/v1/query":
-                self._reply(200, handle_query(self.system, self._body()))
+                self._reply(200, *_answer(self.system, self._body()))
             elif self.path == "/v1/admin/fail_node":
                 node = self._node_arg()
                 self.system.store.fail_node(node)

@@ -15,6 +15,7 @@ from georace.bandmath import (
     assemble_mosaic,
     compute_index,
     empty_mosaic,
+    index_mosaic,
     mosaic_shape,
 )
 from georace.errors import ValidationError
@@ -54,6 +55,29 @@ def reference_index(kind, n, r):
     out = out.astype(np.float32)
     out[invalid | ~np.isfinite(out)] = np.nan
     return out
+
+
+def reference_index_mosaic(kind, tiles, query):
+    """The index mosaic as the engine first built it: reference_index (which
+    compute_index matches bit for bit) over each whole tile, then every tile
+    with an overlap painted in catalog order."""
+    px = tiles[0][0].bbox.width / tiles[0][1].cols
+    rows, cols = canvas_shape = mosaic_shape(query, px)
+    canvas = np.full(canvas_shape, np.nan, dtype=np.float32)
+    provenance = []
+    for meta, nir, red in sorted(tiles, key=lambda t: (t[0].capture_time, t[0].tile_id)):
+        src = reference_index(kind, nir.values, red.values)
+        off_r = round((query.max_lat - meta.bbox.max_lat) / px)
+        off_c = round((meta.bbox.min_lon - query.min_lon) / px)
+        r0 = max(0, off_r)
+        c0 = max(0, off_c)
+        r1 = min(rows, off_r + src.shape[0])
+        c1 = min(cols, off_c + src.shape[1])
+        if r0 >= r1 or c0 >= c1:
+            continue
+        canvas[r0:r1, c0:c1] = src[r0 - off_r : r1 - off_r, c0 - off_c : c1 - off_c]
+        provenance.append(meta.tile_id)
+    return canvas, tuple(provenance)
 
 
 def band_pairs(*pixels):
@@ -215,6 +239,72 @@ class TestComputeIndex:
             assert not out.flags.writeable
             for other in [n, r, nir.values, red.values] + results[i + 1:]:
                 assert not np.shares_memory(out, other)
+
+
+LAYOUT_PX = 0.25
+LAYOUT_QUERY = BoundingBox(0.0, 2.0, 0.0, 2.0)  # an 8 x 8 canvas
+LAYOUT_PIXELS = st.one_of(
+    st.floats(-1.0, 2.0, width=32),
+    st.sampled_from([math.nan, 0.0, -0.0, 1e-45, -0.5]),
+)
+
+
+def layout_tile(i, col, row, width, height, capture, bands):
+    """Tile i with its NW pixel at canvas (row, col) of LAYOUT_QUERY."""
+    lon = col * LAYOUT_PX
+    lat = LAYOUT_QUERY.max_lat - row * LAYOUT_PX
+    bbox = BoundingBox(lon, lon + width * LAYOUT_PX, lat - height * LAYOUT_PX, lat)
+    return (meta_for(f"t{i}", bbox, capture), grid(bands[..., 0]), grid(bands[..., 1], "Red"))
+
+
+@st.composite
+def index_layouts(draw):
+    """1-6 tiles around LAYOUT_QUERY, in any order: inside, overlapping,
+    covering it, touching its edges from outside, or outside; capture times
+    often equal."""
+    tiles = []
+    for i in range(draw(st.integers(1, 6))):
+        col, row = draw(st.integers(-4, 9)), draw(st.integers(-4, 9))
+        width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        bands = draw(hnp.arrays(np.float32, (height, width, 2), elements=LAYOUT_PIXELS))
+        tiles.append(layout_tile(i, col, row, width, height, draw(st.integers(0, 2)), bands))
+    return draw(st.permutations(tiles))
+
+
+def filled(height, width, nir, red):
+    bands = np.empty((height, width, 2), dtype=np.float32)
+    bands[..., 0], bands[..., 1] = nir, red
+    return bands
+
+
+class TestIndexMosaic:
+    @given(kind=st.sampled_from(list(InfoKind)), tiles=index_layouts())
+    # four revisits of a footprint that covers the canvas, two of them tied
+    @example(kind=InfoKind.NDVI, tiles=[
+        layout_tile(i, -1, -1, 10, 10, t, filled(10, 10, 0.5 + i / 8, 0.25))
+        for i, t in enumerate((0, 1, 1, 2))
+    ])
+    # a newer tile covers part of an older one; a third touches the east edge
+    @example(kind=InfoKind.RVI, tiles=[
+        layout_tile(0, 0, 0, 8, 8, 0, filled(8, 8, 0.0, 0.0)),
+        layout_tile(1, 2, 2, 4, 4, 1, filled(4, 4, -0.5, 0.25)),
+        layout_tile(2, 8, 0, 3, 3, 2, filled(3, 3, 0.5, math.nan)),
+    ])
+    @settings(max_examples=200, deadline=None)
+    def test_bits_match_full_tile_paint(self, kind, tiles):
+        got = index_mosaic(kind, tiles, LAYOUT_QUERY)
+        want, provenance = reference_index_mosaic(kind, tiles, LAYOUT_QUERY)
+        assert got.values.dtype == np.float32 and got.values.shape == want.shape
+        assert got.values.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+        assert got.provenance == provenance
+        assert got.pixel_size_deg == LAYOUT_PX
+
+    def test_band_shapes_checked_for_tiles_off_the_canvas(self):
+        ok = layout_tile(0, 0, 0, 8, 8, 1, filled(8, 8, 0.5, 0.25))
+        meta, nir, _ = layout_tile(1, 20, 20, 2, 2, 0, filled(2, 2, 0.5, 0.25))
+        bad = (meta, nir, grid(np.ones((2, 3), np.float32), "Red"))
+        with pytest.raises(ValidationError, match="dimensions"):
+            index_mosaic(InfoKind.NDVI, [ok, bad], LAYOUT_QUERY)
 
 
 class TestMosaic:

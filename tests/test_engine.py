@@ -1,10 +1,14 @@
 """End-to-end query engine over a real store and racing indexes."""
 
+import json
 import statistics
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
+import georace.bandmath
 from georace.bandmath import InfoKind, compute_index
 from georace.engine import (
     Query,
@@ -14,11 +18,12 @@ from georace.engine import (
     batch_execute,
     execute_query,
 )
-from georace.errors import IndexMismatchError, UnavailableError, ValidationError
+from georace.errors import CorruptionError, IndexMismatchError, UnavailableError, ValidationError
 from georace.geo import BoundingBox, TimeRange
 from georace.indexes import build_index
 from georace.racing import RaceConfig, RaceRunner
-from georace.store import TileStore
+from georace.service import QueryService
+from georace.store import TileStore, tile_path
 from georace.synth import (
     SceneSpec,
     WorkloadSpec,
@@ -220,6 +225,90 @@ class TestFailureTransparency:
         finally:
             for node in system.store.node_ids:
                 system.store.restore_node(node)
+
+
+class TestCulling:
+    """Band math skips pixels that never reach the mosaic; fetching and
+    verification skip nothing."""
+
+    STACK = SceneSpec(count=4, seed=29, size_px=8, revisits=4)  # one footprint, four captures
+
+    @pytest.fixture
+    def stack(self, tmp_path):
+        store = TileStore.create(tmp_path / "stack")
+        for scene in generate_scenes(self.STACK):
+            store.ingest(scene)
+        with System.open(store.root, SystemConfig(race=RaceConfig(backend="thread"))) as sys_:
+            yield sys_
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = georace.bandmath._index_into
+
+        def spy(kind, n, r, out):
+            calls.append(n.shape)
+            kernel(kind, n, r, out)
+
+        monkeypatch.setattr(georace.bandmath, "_index_into", spy)
+        return calls
+
+    def test_every_band_of_every_tile_is_fetched(self, system, monkeypatch, kernel_calls):
+        fetched = []
+        fetch = TileStore.fetch_band
+
+        def counting(store, tile_id, band, **kwargs):
+            fetched.append((tile_id, band))
+            return fetch(store, tile_id, band, **kwargs)
+
+        monkeypatch.setattr(TileStore, "fetch_band", counting)
+        res = execute_query(system, Query(corpus_extent(SPEC), corpus_timespan(SPEC), "ndvi"))
+        assert len(fetched) == 2 * res.tile_count
+        assert sorted(fetched) == sorted((t, b) for t in res.tile_ids for b in ("NIR", "Red"))
+        # most tiles are painted over by newer revisits, and not computed
+        assert 0 < len(kernel_calls) < res.tile_count
+
+    def test_corrupt_tile_painted_over_still_fails(self, stack, kernel_calls):
+        q = Query(corpus_extent(self.STACK), corpus_timespan(self.STACK), "ndvi")
+        oldest = execute_query(stack, q).tile_ids[0]
+        assert len(kernel_calls) == 1  # only the newest capture is computed
+        meta = stack.store.metadata(oldest)
+        for node in stack.store.placement(oldest):
+            victim = stack.store.root / "nodes" / node / tile_path(meta, "NIR")
+            victim.write_bytes(victim.read_bytes()[:-4] + b"\xde\xad\xbe\xef")
+        with pytest.raises(CorruptionError):
+            execute_query(stack, q)
+        body = {
+            "min_lon": q.bbox.min_lon, "max_lon": q.bbox.max_lon,
+            "min_lat": q.bbox.min_lat, "max_lat": q.bbox.max_lat,
+            "start_time": q.time.start, "end_time": q.time.end, "info": "ndvi",
+        }
+        with QueryService(stack, port=0) as svc:
+            svc.start_background()
+            req = urllib.request.Request(
+                f"http://127.0.0.1:{svc.port}/v1/query", data=json.dumps(body).encode(),
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(req, timeout=30)
+        assert err.value.code == 503
+
+    def test_kernel_runs_once_on_the_overlap(self, stack, kernel_calls):
+        # the box covers the footprint's south-west quarter and open ground
+        footprint = corpus_extent(self.STACK)
+        half = self.STACK.tile_edge_deg / 2
+        box = BoundingBox(footprint.min_lon - half, footprint.min_lon + half,
+                          footprint.min_lat - half, footprint.min_lat + half)
+        res = execute_query(stack, Query(box, corpus_timespan(self.STACK), "ndvi"))
+        assert res.tile_count == 4
+        assert res.mosaic.provenance == res.tile_ids
+        assert kernel_calls == [(4, 4)]
+        newest = res.tile_ids[-1]
+        want = compute_index(InfoKind.NDVI, stack.store.fetch_band(newest, "NIR"),
+                             stack.store.fetch_band(newest, "Red")).values
+        assert res.mosaic.values.shape == (8, 8)
+        assert res.mosaic.values[:4, 4:].tobytes() == want[4:, :4].tobytes()
+        assert res.mosaic.no_data[4:, :].all() and res.mosaic.no_data[:, :4].all()
 
 
 class TestVerification:

@@ -1,6 +1,7 @@
 """HTTP service endpoints, status mapping, and admin fault injection."""
 
 import base64
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -9,7 +10,7 @@ import pytest
 
 from georace.engine import System, SystemConfig
 from georace.racing import RaceConfig
-from georace.service import QueryService
+from georace.service import QueryService, _json_body, handle_query
 from georace.store import TileStore
 from georace.synth import SceneSpec, corpus_extent, corpus_timespan, generate_scenes
 
@@ -150,12 +151,53 @@ class TestQuery:
         assert "limit" in doc["error"]
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_400(self, service, length):
+        conn = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10)
+        try:
+            conn.putrequest("POST", "/v1/query")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders(json.dumps(query_body()).encode())
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert resp.getheader("Connection") == "close"
+            assert "Content-Length" in json.loads(resp.read())["error"]
+        finally:
+            conn.close()
+
     def test_non_json_body_is_400(self, service):
         url = f"http://127.0.0.1:{service.port}/v1/query"
         req = urllib.request.Request(url, data=b"not json", method="POST")
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=10)
         assert err.value.code == 400
+
+
+class TestReplyEncoding:
+    def test_spliced_query_body_is_json_dumps(self, service):
+        doc = handle_query(service.system, query_body())
+        fields = {k: v for k, v in doc.items() if k != "image_b64"}
+        body = _json_body(fields, doc["image_b64"].encode("ascii"))
+        assert body == json.dumps(doc).encode("utf-8")
+        assert list(json.loads(body).items()) == list(doc.items())
+
+    def test_query_reply_over_http_keeps_key_order(self, service):
+        url = f"http://127.0.0.1:{service.port}/v1/query"
+        req = urllib.request.Request(url, data=json.dumps(query_body()).encode(), method="POST")
+        with urllib.request.urlopen(req, timeout=30) as resp:
+            doc = json.loads(resp.read())
+        assert list(doc) == ["tile_count", "tile_ids", "winner", "timings", "mosaic", "image_b64"]
+        assert base64.b64decode(doc["image_b64"], validate=True).startswith(b"P5\n")
+
+    def test_other_replies_unchanged(self):
+        health = {"status": "ok", "tiles": 3, "nodes": [{"id": "node_00", "alive": True}]}
+        error = {"error": 'ValidationError: bad "box"\n'}
+        for doc in (health, error, {}):
+            assert _json_body(doc) == json.dumps(doc).encode("utf-8")
+
+    def test_image_alone_is_valid_json(self):
+        assert json.loads(_json_body({}, b"UDUK")) == {"image_b64": "UDUK"}
 
 
 class TestAdmin:
