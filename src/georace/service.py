@@ -2,7 +2,7 @@
 
 Routes (JSON in, JSON out):
 
-    GET  /v1/health             -> {status, tiles, nodes: [{id, alive}]}
+    GET  /v1/health             -> {status, tiles, nodes: [{id, alive}], workers: {kind: up}}
     POST /v1/query              -> {tile_count, winner, timings, image_b64, ...}
     POST /v1/admin/fail_node    -> {status, nodes}     body: {node_id}
     POST /v1/admin/restore_node -> {status, nodes}     body: {node_id}
@@ -159,6 +159,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "status": "ok",
                     "tiles": len(self.system.store),
                     "nodes": _node_listing(self.system),
+                    "workers": self.system.runner.worker_status(),
                 },
             )
         else:

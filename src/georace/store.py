@@ -24,6 +24,11 @@ bytes against their SHA-256 in the catalog; a replica that does not match is
 skipped for the next live one, and CorruptionError, naming every bad node,
 is raised only when no live replica verifies. Verified bytes are decoded
 without a copy: the BandGrid is a read-only view of them.
+
+The query engine calls fetch_band from several threads at once, one tile
+per thread. Its only write to shared state is the single dict assignment
+that keeps a tile's looked-up nodes in _holders; two threads looking up the
+same tile store the same tuple.
 """
 
 from __future__ import annotations

@@ -1,16 +1,21 @@
 """End-to-end query engine over a real store and racing indexes."""
 
+import http.client
 import json
 import statistics
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
+from collections import Counter
 
 import pytest
 
 import georace.bandmath
 from georace.bandmath import InfoKind, compute_index
 from georace.engine import (
+    FETCH_THREAD_PREFIX,
     Query,
     StageTimings,
     System,
@@ -388,3 +393,262 @@ class TestBatch:
         for n in counts[:-1]:
             ratio = statistics.median(b / a for a, b in zip(elapsed[n], elapsed[2 * n]))
             assert 1.5 <= ratio <= 2.5, (n, ratio, elapsed)
+
+
+class SpyPool:
+    """Stands in for a System's fetch pool and keeps every future submitted."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.futures = []
+
+    def submit(self, fn, *args):
+        future = self.pool.submit(fn, *args)
+        self.futures.append(future)
+        return future
+
+    def shutdown(self, **kwargs):
+        self.pool.shutdown(**kwargs)
+
+
+def make_system(root, spec, **create):
+    store = TileStore.create(root, **create)
+    for scene in generate_scenes(spec):
+        store.ingest(scene)
+    return System.open(root, SystemConfig(race=RaceConfig(backend="thread")))
+
+
+def spy_on(system, monkeypatch):
+    if system.fetch_pool is None:
+        pytest.skip("the process may use one CPU only, so there is no helper to share the fetch")
+    spy = SpyPool(system.fetch_pool)
+    monkeypatch.setattr(system, "fetch_pool", spy)
+    return spy
+
+
+def full_query(spec, info="ndvi"):
+    return Query(corpus_extent(spec), corpus_timespan(spec), info)
+
+
+def query_doc(q):
+    return {
+        "min_lon": q.bbox.min_lon, "max_lon": q.bbox.max_lon,
+        "min_lat": q.bbox.min_lat, "max_lat": q.bbox.max_lat,
+        "start_time": q.time.start, "end_time": q.time.end, "info": q.info.value,
+    }
+
+
+class TestParallelFetch:
+    """Bands of 256 px are large enough for the helper threads to share the
+    fetch; every other engine test uses 8 px bands and the caller alone."""
+
+    BIG = SceneSpec(count=16, seed=31, size_px=256, revisits=4, band_labels=("Red", "NIR"))
+
+    @pytest.fixture(scope="class")
+    def big(self, tmp_path_factory):
+        with make_system(tmp_path_factory.mktemp("big") / "store", self.BIG) as sys_:
+            yield sys_
+
+    def queries(self):
+        drawn = [
+            Query(box, trange, info)
+            for (box, trange), info in zip(
+                generate_queries(self.BIG, WorkloadSpec(count=9, seed=17)),
+                ("ndvi", "rvi", "dvi") * 3,
+            )
+        ]
+        return [full_query(self.BIG, info) for info in ("ndvi", "rvi", "dvi")] + drawn
+
+    def test_matches_serial_byte_for_byte(self, big, monkeypatch):
+        queries = self.queries()
+        spy = spy_on(big, monkeypatch)
+        parallel = [execute_query(big, q) for q in queries]
+        monkeypatch.setattr(big, "fetch_pool", None)
+        serial = [execute_query(big, q) for q in queries]
+        assert spy.futures  # the helpers took part
+        assert max(res.tile_count for res in serial) == self.BIG.count
+        for a, b in zip(serial, parallel):
+            assert b.mosaic.values.tobytes() == a.mosaic.values.tobytes()
+            assert b.tile_ids == a.tile_ids
+            assert b.mosaic.provenance == a.mosaic.provenance
+
+    def test_each_band_fetched_once(self, big, monkeypatch):
+        spy = spy_on(big, monkeypatch)
+        fetched = []
+        fetch = TileStore.fetch_band
+
+        def counting(store, tile_id, band, **kwargs):
+            fetched.append((tile_id, band))
+            return fetch(store, tile_id, band, **kwargs)
+
+        monkeypatch.setattr(TileStore, "fetch_band", counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can go
+        try:
+            for info in ("ndvi", "rvi", "dvi") * 4:
+                fetched.clear()
+                res = execute_query(big, full_query(self.BIG, info))
+                want = {(t, b): 1 for t in res.tile_ids for b in ("NIR", "Red")}
+                assert Counter(fetched) == want
+        finally:
+            sys.setswitchinterval(interval)
+        assert res.tile_count == self.BIG.count and spy.futures
+
+    @pytest.mark.parametrize(
+        "size_px, shared", [(8, False), (64, False), (181, False), (182, True), (256, True)]
+    )
+    def test_band_size_gates_the_helpers(self, tmp_path, monkeypatch, size_px, shared):
+        # 4 * 181 * 181 bytes fall short of 128 KiB, 4 * 182 * 182 reach it
+        spec = SceneSpec(count=4, seed=3, size_px=size_px, revisits=2, band_labels=("Red", "NIR"))
+        with make_system(tmp_path / "store", spec) as sys_:
+            spy = spy_on(sys_, monkeypatch)
+            res = execute_query(sys_, full_query(spec))
+        assert res.tile_count == spec.count
+        assert bool(spy.futures) is shared
+
+    def test_earliest_failure_is_raised(self, tmp_path, monkeypatch):
+        # four nodes: ingest i puts tile i on nodes i, i+1, i+2 (mod 4), and the
+        # catalog order here is the ingest order
+        spec = SceneSpec(count=8, seed=37, size_px=256, revisits=2, band_labels=("Red", "NIR"))
+        with make_system(tmp_path / "store", spec, nodes=4) as sys_:
+            store = sys_.store
+            q = full_query(spec)
+            tiles = execute_query(sys_, q).tile_ids
+            corrupt, unreachable = tiles[0], tiles[1]
+            for node in store.placement(corrupt):
+                victim = store.root / "nodes" / node / tile_path(store.metadata(corrupt), "NIR")
+                victim.write_bytes(victim.read_bytes()[:-4] + b"\xde\xad\xbe\xef")
+            for node in store.placement(unreachable):  # node_01..03: only node_00 stays up
+                store.fail_node(node)
+            with pytest.raises(UnavailableError):
+                store.fetch_band(unreachable, "NIR")
+            spy = spy_on(sys_, monkeypatch)
+            monkeypatch.setattr(sys_, "fetch_pool", None)
+            with pytest.raises(CorruptionError) as serial:
+                execute_query(sys_, q)
+            monkeypatch.setattr(sys_, "fetch_pool", spy)
+            for _ in range(5):
+                with pytest.raises(CorruptionError) as parallel:
+                    execute_query(sys_, q)
+                assert str(parallel.value) == str(serial.value)
+            assert spy.futures
+        assert f"{corrupt}/NIR on node_00" in str(serial.value)
+
+    def test_corrupt_tile_painted_over_still_fails(self, tmp_path, monkeypatch):
+        spec = SceneSpec(count=4, seed=29, size_px=256, revisits=4, band_labels=("Red", "NIR"))
+        with make_system(tmp_path / "stack", spec) as stack:
+            spy = spy_on(stack, monkeypatch)
+            computed = []
+            kernel = georace.bandmath._index_into
+            monkeypatch.setattr(
+                georace.bandmath, "_index_into",
+                lambda kind, n, r, out: computed.append(n.shape) or kernel(kind, n, r, out),
+            )
+            q = full_query(spec)
+            res = execute_query(stack, q)
+            assert len(computed) == 1  # the newest capture covers the rest
+            oldest = res.tile_ids[0]
+            meta = stack.store.metadata(oldest)
+            for node in stack.store.placement(oldest):
+                victim = stack.store.root / "nodes" / node / tile_path(meta, "NIR")
+                victim.write_bytes(victim.read_bytes()[:-4] + b"\xde\xad\xbe\xef")
+            with QueryService(stack, port=0) as svc:
+                svc.start_background()
+                req = urllib.request.Request(
+                    f"http://127.0.0.1:{svc.port}/v1/query",
+                    data=json.dumps(query_doc(q)).encode(), method="POST",
+                )
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    urllib.request.urlopen(req, timeout=30)
+            assert err.value.code == 503
+            assert spy.futures
+
+    def test_concurrent_clients_get_the_same_bytes(self, big, monkeypatch):
+        spy = spy_on(big, monkeypatch)
+        bodies = [json.dumps(query_doc(q)).encode() for q in self.queries()]
+
+        def replies(port, order):
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            out = {}
+            try:
+                for k in order:
+                    conn.request("POST", "/v1/query", body=bodies[k])
+                    resp = conn.getresponse()
+                    doc = json.loads(resp.read())
+                    assert resp.status == 200, doc
+                    del doc["timings"], doc["winner"]  # these vary from run to run
+                    out[k] = doc
+            finally:
+                conn.close()
+            return out
+
+        with QueryService(big, port=0) as svc:
+            svc.start_background()
+            alone = replies(svc.port, range(len(bodies)))
+            together = [None, None]
+
+            def client(slot, order):
+                together[slot] = replies(svc.port, order)
+
+            orders = (list(range(len(bodies))) * 2, list(reversed(range(len(bodies)))) * 2)
+            threads = [threading.Thread(target=client, args=(n, order)) for n, order in enumerate(orders)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        assert together[0] == alone and together[1] == alone
+        assert spy.futures
+
+    def test_queued_helper_is_cancelled_not_awaited(self, big, monkeypatch):
+        q = full_query(self.BIG)
+        want = execute_query(big, q).mosaic.values.tobytes()
+        release = threading.Event()
+        # every helper thread waits on the event, so the query's helper task stays queued
+        blockers = [big.fetch_pool.submit(release.wait, 60) for _ in range(big.fetch_helpers)]
+        spy = spy_on(big, monkeypatch)
+        done = {}
+        worker = threading.Thread(target=lambda: done.setdefault("res", execute_query(big, q)))
+        try:
+            worker.start()
+            worker.join(timeout=60)
+            finished = not worker.is_alive()
+        finally:
+            release.set()
+            worker.join(timeout=60)
+            for blocker in blockers:
+                blocker.result(timeout=60)
+        assert finished  # on the caller alone, while every helper was busy
+        assert done["res"].mosaic.values.tobytes() == want
+        assert spy.futures and all(f.cancelled() for f in spy.futures)
+
+
+class TestLifecycle:
+    @staticmethod
+    def fetch_threads():
+        return [t for t in threading.enumerate() if t.name.startswith(FETCH_THREAD_PREFIX)]
+
+    def test_open_starts_no_thread(self, tmp_path):
+        store = TileStore.create(tmp_path / "store")
+        for scene in generate_scenes(SceneSpec(count=4, seed=5, size_px=8)):
+            store.ingest(scene)
+        before = set(threading.enumerate())
+        system = System.open(store.root)  # race workers are processes by default
+        try:
+            assert set(threading.enumerate()) == before
+        finally:
+            system.close()
+
+    def test_close_is_idempotent_and_stops_the_helpers(self, tmp_path):
+        spec = TestParallelFetch.BIG
+        system = make_system(tmp_path / "store", spec)
+        try:
+            if system.fetch_pool is None:
+                pytest.skip("the process may use one CPU only, so there is no helper thread")
+            assert not self.fetch_threads()
+            execute_query(system, full_query(spec))
+            assert self.fetch_threads()
+        finally:
+            system.close()
+        system.close()
+        assert not self.fetch_threads()

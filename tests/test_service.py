@@ -69,6 +69,17 @@ class TestHealth:
         assert doc["tiles"] == SPEC.count
         assert {n["id"] for n in doc["nodes"]} == set(service.system.store.node_ids)
         assert all(n["alive"] is True for n in doc["nodes"])
+        assert doc["workers"] == {"geohash": True, "quadtree": True, "ortholist": True}
+
+    def test_health_shows_a_failed_worker(self, service):
+        service.system.runner.fail_worker("quadtree")
+        try:
+            status, doc = call(service, "/v1/health")
+        finally:
+            service.system.runner.restore_worker("quadtree")
+        assert status == 200
+        assert doc["workers"] == {"geohash": True, "quadtree": False, "ortholist": True}
+        assert call(service, "/v1/health")[1]["workers"]["quadtree"] is True
 
     def test_unknown_get_is_404(self, service):
         status, doc = call(service, "/v1/nope")
