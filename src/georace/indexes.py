@@ -12,8 +12,10 @@ shares at least a point with the box), then candidates are filtered by the
 exact closed comparisons. Any entry a query could match shares a cell with
 the query by construction, so cell conventions can never cause a miss.
 
-Every kind ends in one exact filter, RangeIndex._filter, a per-row Python
-loop; the linear scan passes it every row, the others their candidates.
+Every index kind ends in one exact filter, RangeIndex._filter, a per-row
+Python loop over its candidates. The linear scan makes the same closed
+comparisons in its own loop over the rows themselves, with no candidate list
+and no lookup by row number; it is still a plain pass over every entry.
 
 Cancellation: query() takes an optional should_cancel callable, polled
 periodically; a True return aborts the traversal by raising QueryCancelled.
@@ -651,7 +653,25 @@ class LinearScanIndex(RangeIndex):
         return cls(rows)
 
     def query(self, box: BoundingBox, trange: TimeRange, should_cancel=None) -> set[str]:
-        return self._filter(range(len(self._rows)), box, trange, should_cancel)
+        qlo_x, qhi_x = box.min_lon, box.max_lon
+        qlo_y, qhi_y = box.min_lat, box.max_lat
+        qt0, qt1 = trange.start, trange.end
+        rows = self._rows
+        hits: set[str] = set()
+        for start in range(0, len(rows), 256):  # polls as often as _filter
+            if should_cancel is not None and should_cancel():
+                raise QueryCancelled()
+            for tile_id, lo_x, hi_x, lo_y, hi_y, t0, t1 in rows[start : start + 256]:
+                if (
+                    lo_x <= qhi_x
+                    and qlo_x <= hi_x
+                    and lo_y <= qhi_y
+                    and qlo_y <= hi_y
+                    and t0 <= qt1
+                    and qt0 <= t1
+                ):
+                    hits.add(tile_id)
+        return hits
 
     def estimate_cost(self, box: BoundingBox, trange: TimeRange) -> float:
         return _LS_FIXED + _LS_PER_ROW * len(self._rows)
