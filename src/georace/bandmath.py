@@ -17,16 +17,23 @@ order (capture_time, then tile_id, ascending), so on overlaps the newest
 capture wins, ties resolved by tile_id. A mosaic of more than
 MAX_MOSAIC_PIXELS pixels is refused before anything is allocated.
 
-One layout step serves both mosaics: it checks that all tiles share one
+One layout step serves both mosaics and the query engine. It needs only
+each tile's metadata and band shape, so the engine plans a query from the
+catalog geometry before it reads a band. It checks that all tiles share one
 square pixel size, finds each tile's overlap with the canvas, and walks the
-tiles newest to oldest over a mask of claimed pixels, so a tile that newer
-tiles cover on every pixel of its overlap is not painted at all. The
+tiles newest to oldest over a mask of claimed pixels: a tile that newer tiles
+cover on every pixel of its overlap is not painted at all, and every other
+tile owns the pixels of its overlap that no newer tile claimed, given as a
+mask (None when it owns them all). Each canvas pixel has exactly one owner,
+so tiles can be painted in any order, by several threads at once. The
 provenance still names every tile with a positive-area overlap.
-assemble_mosaic paints finished grids; index_mosaic, the query path, runs
-the band-math kernel on each painted tile's overlap only, writing straight
-into the canvas, so no pixel outside the query box or under a newer tile is
-computed. Elementwise math on a crop gives the same bits as the same math
-on the whole tile, so the two mosaics agree byte for byte.
+assemble_mosaic paints finished grids. _paint_index, the per-tile step of
+the query path, runs the band-math kernel on one tile's overlap only and
+writes the owned pixels straight into the canvas, so no pixel outside the
+query box or under a newer tile reaches the canvas; index_mosaic drives it
+over the tiles one after another, and the engine from every fetch thread.
+Elementwise math on a crop gives the same bits as the same math on the whole
+tile, so all mosaics agree byte for byte.
 
 Results are read-only: an index is computed into one fresh float32 array,
 which its BandGrid wraps without a copy, and a Mosaic keeps its canvas.
@@ -172,9 +179,10 @@ class _Layout:
     pixel_size_deg: float
     shape: tuple[int, int]
     provenance: tuple[str, ...]  # every tile with a positive-area overlap, in paint order
-    # (position in the input, canvas window, tile window) of each tile that
-    # keeps at least one pixel, in paint order
-    paint: tuple[tuple[int, tuple[slice, slice], tuple[slice, slice]], ...]
+    # (position in the input, canvas window, tile window, ownership mask over
+    # the window or None for all of it) of each tile that keeps at least one
+    # pixel, in catalog order
+    paint: tuple[tuple[int, tuple[slice, slice], tuple[slice, slice], np.ndarray | None], ...]
 
 
 def _layout(
@@ -221,15 +229,17 @@ def _layout(
             overlaps.append((i, (slice(r0, r1), slice(c0, c1)),
                              (slice(r0 - off_r, r1 - off_r), slice(c0 - off_c, c1 - off_c))))
 
-    # Newest first: a tile whose whole overlap newer tiles have claimed would
-    # be painted over entirely, so it is left out.
+    # Newest first: a tile owns the pixels of its overlap no newer tile has
+    # claimed; one that owns none would be painted over entirely, so it is
+    # left out.
     claimed = np.zeros(shape, dtype=bool)
     paint = []
-    for overlap in reversed(overlaps):
-        window = claimed[overlap[1]]
-        if not window.all():
-            window[...] = True
-            paint.append(overlap)
+    for i, dst, src in reversed(overlaps):
+        window = claimed[dst]
+        if window.all():
+            continue
+        paint.append((i, dst, src, ~window if window.any() else None))
+        window[...] = True
     paint.reverse()
     provenance = tuple(tiles[i][0].tile_id for i, _, _ in overlaps)
     return _Layout(px, shape, provenance, tuple(paint))
@@ -250,9 +260,26 @@ def assemble_mosaic(
     layout = _layout([(meta, grid.values.shape) for meta, grid in results],
                      query_bbox, pixel_size_deg)
     canvas = _blank(layout.shape)
-    for i, dst, src in layout.paint:
+    for i, dst, src, _ in layout.paint:
         canvas[dst] = results[i][1].values[src]
     return Mosaic._adopt(query_bbox, canvas, layout.pixel_size_deg, layout.provenance)
+
+
+def _paint_index(
+    kind: InfoKind, nir: np.ndarray, red: np.ndarray, canvas: np.ndarray,
+    dst: tuple[slice, slice], src: tuple[slice, slice], mask: np.ndarray | None,
+) -> np.ndarray:
+    """The per-tile step: the index over the window src of one tile's float32
+    nir and red, written into the canvas window dst where mask keeps it (all
+    of it when mask is None). Returns the window as computed."""
+    if mask is None:
+        out = canvas[dst]
+        _index_into(kind, nir[src], red[src], out)
+        return out
+    out = np.empty(mask.shape, dtype=np.float32)
+    _index_into(kind, nir[src], red[src], out)
+    np.copyto(canvas[dst], out, where=mask)
+    return out
 
 
 def index_mosaic(
@@ -263,14 +290,15 @@ def index_mosaic(
     pixel_size_deg: float | None = None,
 ) -> Mosaic:
     """assemble_mosaic over compute_index of each (metadata, NIR, Red), with
-    the index computed only over the pixels that reach the mosaic."""
+    the index computed only over the pixels that reach the mosaic: the
+    per-tile step _paint_index, run over the tiles one after another."""
     kind = InfoKind.parse(kind)
     for _, nir, red in tiles:
         _check_dims(nir, red)
     layout = _layout([(meta, nir.values.shape) for meta, nir, _ in tiles],
                      query_bbox, pixel_size_deg)
     canvas = _blank(layout.shape)
-    for i, dst, src in layout.paint:
+    for i, dst, src, mask in layout.paint:
         _, nir, red = tiles[i]
-        _index_into(kind, nir.values[src], red.values[src], canvas[dst])
+        _paint_index(kind, nir.values, red.values, canvas, dst, src, mask)
     return Mosaic._adopt(query_bbox, canvas, layout.pixel_size_deg, layout.provenance)

@@ -35,7 +35,6 @@ from .errors import (
     ValidationError,
 )
 from .geo import BoundingBox, TimeRange
-from .render import write_pgm
 from .service import QueryService
 from .store import DEFAULT_BAND_LABELS, TileStore
 from .synth import SceneSpec, generate_entries, write_scenes
@@ -91,7 +90,7 @@ def _cmd_query(args) -> int:
     with System.open(args.store) as system:
         res = execute_query(system, q, verification=args.verify or None)
         if args.out:
-            write_pgm(res.mosaic, args.out, q.info)
+            Path(args.out).write_bytes(res.pgm)
         doc = {
             "tile_count": res.tile_count,
             "tile_ids": list(res.tile_ids),
@@ -109,16 +108,21 @@ def _cmd_serve(args) -> int:
     system = System.open(args.store)
     service = QueryService(system, args.host, args.port)
     host, port = service.address
-    # SIGTERM stops the service as SIGINT does, so the race workers are
-    # stopped too instead of outliving it
-    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    # SIGINT and SIGTERM both stop the service, so the race workers are
+    # stopped too instead of outliving it; SIGINT too when the server started
+    # with it ignored (as a background job of a non-interactive shell)
+    previous = {
+        sig: signal.signal(sig, signal.default_int_handler)
+        for sig in (signal.SIGINT, signal.SIGTERM)
+    }
     print(f"serving {args.store} on http://{host}:{port}", flush=True)
     try:
         service.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
         service.stop()
         system.close()
     return EXIT_OK

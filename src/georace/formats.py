@@ -29,6 +29,7 @@ from .geo import BoundingBox
 BAND_MAGIC = b"MIXR"
 BAND_VERSION = 1
 _HEADER = struct.Struct("<4sHII")
+HEADER_SIZE = _HEADER.size  # 14 bytes
 
 
 def pack_band(values: np.ndarray) -> bytes:
@@ -42,9 +43,10 @@ def pack_band(values: np.ndarray) -> bytes:
     return _HEADER.pack(BAND_MAGIC, BAND_VERSION, rows, cols) + arr.tobytes()
 
 
-def unpack_band(blob: bytes, *, source: str = "band file") -> np.ndarray:
-    """Parse band-file bytes into a float32 grid: a read-only view of the
-    payload in blob, not a copy (copy it to write, or when blob may change)."""
+def unpack_band(blob, *, source: str = "band file") -> np.ndarray:
+    """Parse band-file bytes (any bytes-like object) into a float32 grid: a
+    read-only view of the payload in blob, not a copy (copy it to write, or
+    when blob may change)."""
     if len(blob) < _HEADER.size:
         raise CorruptionError(f"{source}: truncated header")
     magic, version, rows, cols = _HEADER.unpack_from(blob)

@@ -6,8 +6,11 @@ matching the mosaic orientation. NDVI and DVI display over [-1, 1]
 (an NDVI of 0.0 lands on byte 128); RVI displays over [0, 10].
 
 Quantization runs in float64, so every byte is exact, on one float64 copy
-of the grid that each step updates in place; the only other array is the
-uint8 result.
+of the grid that each step updates in place; the bytes go to a new uint8
+grid or into a given one. The query engine quantizes each tile's window of
+the mosaic as soon as it is computed, into the pixels of a PGM made by
+blank_pgm, so a query's image is ready when its mosaic is; render_pgm
+renders a whole mosaic at once, to the same bytes.
 """
 
 from __future__ import annotations
@@ -26,8 +29,11 @@ DISPLAY_RANGES: dict[InfoKind, tuple[float, float]] = {
 NO_DATA_BYTE = 0
 
 
-def to_bytes_grid(values: np.ndarray, kind: InfoKind) -> np.ndarray:
-    """Quantize a float grid to the display bytes (uint8, same shape)."""
+def to_bytes_grid(
+    values: np.ndarray, kind: InfoKind, *, out: np.ndarray | None = None, where=True
+) -> np.ndarray:
+    """Quantize a float grid to the display bytes (uint8, same shape): a new
+    grid, or written into out where `where` is true, and out returned."""
     lo, hi = DISPLAY_RANGES[kind]
     buf = np.array(values, dtype=np.float64)
     if buf.ndim != 2:
@@ -41,17 +47,24 @@ def to_bytes_grid(values: np.ndarray, kind: InfoKind) -> np.ndarray:
     np.add(buf, 1.0, out=buf)
     # no-data is still NaN here, and fmax takes the number over a NaN
     np.fmax(buf, NO_DATA_BYTE, out=buf)
-    return buf.astype(np.uint8)
+    if out is None:
+        return buf.astype(np.uint8)
+    np.copyto(out, buf, casting="unsafe", where=where)
+    return out
+
+
+def blank_pgm(shape: tuple[int, int]) -> tuple[bytearray, np.ndarray]:
+    """A binary PGM image of (rows, cols) pixels, all no-data, and a writable
+    uint8 (rows, cols) view of its pixels."""
+    rows, cols = shape
+    header = f"P5\n{cols} {rows}\n255\n".encode("ascii")
+    pgm = bytearray(len(header) + rows * cols)  # zeroed: NO_DATA_BYTE
+    pgm[:len(header)] = header
+    return pgm, np.frombuffer(pgm, dtype=np.uint8, offset=len(header)).reshape(shape)
 
 
 def render_pgm(mosaic: Mosaic, kind: InfoKind | str) -> bytes:
     """A mosaic as a binary PGM image; no-data pixels render black (0)."""
-    grid = to_bytes_grid(mosaic.values, InfoKind.parse(kind))
-    rows, cols = grid.shape
-    header = f"P5\n{cols} {rows}\n255\n".encode("ascii")
-    return header + grid.tobytes()
-
-
-def write_pgm(mosaic: Mosaic, path, kind: InfoKind | str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(render_pgm(mosaic, kind))
+    pgm, pixels = blank_pgm(mosaic.values.shape)
+    to_bytes_grid(mosaic.values, InfoKind.parse(kind), out=pixels)
+    return bytes(pgm)

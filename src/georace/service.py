@@ -17,12 +17,18 @@ Base64 output needs no JSON escaping, so the reply body is the JSON of the
 other keys with the base64 bytes spliced in, not a pass of the encoder
 over the image. A malformed Content-Length is a 400 that also closes the
 connection, since the request's end can no longer be found.
+
+QueryService.stop ends the open keep-alive connections too: it shuts down
+the read side of each, so its handler thread sees the client's end, sends
+the reply it may be working on, and closes the socket, and waits for those
+threads.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -37,7 +43,6 @@ from .errors import (
     ValidationError,
 )
 from .geo import BoundingBox, TimeRange
-from .render import render_pgm
 
 _QUERY_KEYS = ("min_lon", "max_lon", "min_lat", "max_lat", "start_time", "end_time", "info")
 
@@ -78,7 +83,6 @@ def _answer(system: System, doc: dict) -> tuple[dict, bytes]:
     """A query's reply fields but the image, and the image as base64 bytes."""
     q = _parse_query(doc)
     res = execute_query(system, q)
-    pgm = render_pgm(res.mosaic, q.info)
     fields = {
         "tile_count": res.tile_count,
         "tile_ids": list(res.tile_ids),
@@ -90,7 +94,7 @@ def _answer(system: System, doc: dict) -> tuple[dict, bytes]:
             "pixel_size_deg": res.mosaic.pixel_size_deg,
         },
     }
-    return fields, base64.b64encode(pgm)
+    return fields, base64.b64encode(res.pgm)
 
 
 def handle_query(system: System, doc: dict) -> dict:
@@ -189,13 +193,47 @@ class _Handler(BaseHTTPRequestHandler):
         return str(doc["node_id"])
 
 
+class _Server(ThreadingHTTPServer):
+    """A ThreadingHTTPServer that keeps each open connection's handler thread."""
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._lock = threading.Lock()
+        self._connections: dict[socket.socket, threading.Thread] = {}
+
+    def process_request(self, request, client_address):
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
+        with self._lock:
+            self._connections[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request):
+        with self._lock:
+            self._connections.pop(request, None)
+        super().shutdown_request(request)
+
+    def close_connections(self, timeout: float) -> None:
+        """End every open connection once its current request is answered."""
+        with self._lock:
+            open_ = list(self._connections.items())
+        for request, _ in open_:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:  # the client is already gone
+                pass
+        for _, thread in open_:
+            thread.join(timeout)
+
+
 class QueryService:
     """A running HTTP service over one opened System."""
 
     def __init__(self, system: System, host: str = "127.0.0.1", port: int = 0):
         handler = type("BoundHandler", (_Handler,), {"system": system})
         self.system = system
-        self.httpd = ThreadingHTTPServer((host, port), handler)
+        self.httpd = _Server((host, port), handler)
         self._thread: threading.Thread | None = None
 
     @property
@@ -216,6 +254,7 @@ class QueryService:
     def stop(self) -> None:
         self.httpd.shutdown()
         self.httpd.server_close()
+        self.httpd.close_connections(timeout=5)
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None

@@ -22,13 +22,18 @@ Liveness is read from the .down markers once per call of fetch_band, or once
 per query when the engine passes the live nodes in. A read verifies the band
 bytes against their SHA-256 in the catalog; a replica that does not match is
 skipped for the next live one, and CorruptionError, naming every bad node,
-is raised only when no live replica verifies. Verified bytes are decoded
-without a copy: the BandGrid is a read-only view of them.
+is raised only when no live replica verifies. A band file is read whole,
+with readinto, into a buffer laid out so that the pixels after the 14-byte
+header start on a 64-byte boundary; a file longer than the buffer goes to a
+larger one, never cut to fit, so trailing bytes fail the checksum.
+Verified bytes are decoded without a copy: the BandGrid is a read-only view
+of the buffer. The caller may pass the buffer (band_buffer) and reuse it for
+the next band; otherwise each read gets a fresh one.
 
 The query engine calls fetch_band from several threads at once, one tile
-per thread. Its only write to shared state is the single dict assignment
-that keeps a tile's looked-up nodes in _holders; two threads looking up the
-same tile store the same tuple.
+per thread, each with its own buffers. Its only write to shared state is the
+single dict assignment that keeps a tile's looked-up nodes in _holders; two
+threads looking up the same tile store the same tuple.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from .geohash import encode as geohash_encode
 from .indexes import IndexConfig, IndexEntry
 
 REPLICATION_FACTOR = 3
+_ALIGN = 64  # bytes; the band pixels of a read start on this boundary
 _QUADRANTS = ("NW", "NE", "SW", "SE")
 
 DEFAULT_BAND_LABELS = (
@@ -124,8 +130,9 @@ class BandGrid:
         """Wrap a 2-D float32 grid without copying or checking it.
 
         For grids this package made: NaN or finite values only, and no
-        writeable array may share their memory (verified immutable bytes, or
-        a fresh result no one else holds)."""
+        writeable array may share their memory (verified bytes in a buffer
+        no one else holds, or a fresh result), except the buffer a caller
+        passed to TileStore.fetch_band, which that caller owns."""
         values.flags.writeable = False
         grid = object.__new__(cls)
         object.__setattr__(grid, "label", label)
@@ -257,6 +264,25 @@ def compute_index_keys(bbox: BoundingBox, config: IndexConfig | None = None) -> 
         grid_row=row,
         grid_col=col,
     )
+
+
+def band_buffer(nbytes: int) -> np.ndarray:
+    """A writable uint8 buffer of nbytes for one band file, placed so that
+    the pixels after the file header start on a 64-byte boundary."""
+    raw = np.empty(nbytes + _ALIGN, dtype=np.uint8)
+    start = -(raw.ctypes.data + formats.HEADER_SIZE) % _ALIGN
+    return raw[start:start + nbytes]
+
+
+def _read_whole(fh, into: np.ndarray | None) -> np.ndarray:
+    """The open file's bytes: read into `into` when they fit, else into a
+    fresh band_buffer, which is then made read-only for good."""
+    size = os.fstat(fh.fileno()).st_size
+    buf = into if into is not None and size <= len(into) else band_buffer(size)
+    n = fh.readinto(buf[:size])
+    if buf is not into:
+        buf.base.flags.writeable = False
+    return buf[:n]
 
 
 def _degree_token(prefix: str, value: float) -> str:
@@ -498,11 +524,19 @@ class TileStore:
         return list(self._holders.get(tile_id) or self._locate(tile_id))
 
     def fetch_band(
-        self, tile_id: str, band_label: str, *, live: Collection[str] | None = None
+        self,
+        tile_id: str,
+        band_label: str,
+        *,
+        live: Collection[str] | None = None,
+        into: np.ndarray | None = None,
     ) -> BandGrid:
         """One band from the first live replica whose bytes match the catalog's
         SHA-256. live: the nodes to treat as up; None reads each holder's
-        .down marker."""
+        .down marker. into: a band_buffer to read the file into; the grid is
+        then a view of it, valid until the caller writes the buffer again. A
+        file longer than into goes to a fresh buffer. Without into, every
+        call reads into a fresh buffer, so no two results share memory."""
         meta = self.metadata(tile_id)
         if band_label not in meta.band_labels:
             raise ValidationError(f"tile {tile_id} has no band {band_label!r}")
@@ -519,8 +553,8 @@ class TileStore:
                     continue
                 tried.append(node)
                 try:
-                    with open(self._node_roots[node] + rel, "rb") as fh:
-                        blob = fh.read()
+                    with open(self._node_roots[node] + rel, "rb", buffering=0) as fh:
+                        blob = _read_whole(fh, into)
                 except FileNotFoundError:
                     if attempt == 0:
                         break  # the kept placement is stale: look it up again

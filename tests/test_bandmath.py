@@ -1,6 +1,7 @@
 """Vegetation index math and mosaic assembly."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from georace.bandmath import (
     MAX_MOSAIC_PIXELS,
     InfoKind,
     Mosaic,
+    _layout,
+    _paint_index,
     assemble_mosaic,
     compute_index,
     empty_mosaic,
@@ -278,26 +281,38 @@ def filled(height, width, nir, red):
 
 
 class TestIndexMosaic:
-    @given(kind=st.sampled_from(list(InfoKind)), tiles=index_layouts())
+    @given(kind=st.sampled_from(list(InfoKind)), tiles=index_layouts(), order=st.randoms())
     # four revisits of a footprint that covers the canvas, two of them tied
     @example(kind=InfoKind.NDVI, tiles=[
         layout_tile(i, -1, -1, 10, 10, t, filled(10, 10, 0.5 + i / 8, 0.25))
         for i, t in enumerate((0, 1, 1, 2))
-    ])
+    ], order=random.Random(1))
     # a newer tile covers part of an older one; a third touches the east edge
     @example(kind=InfoKind.RVI, tiles=[
         layout_tile(0, 0, 0, 8, 8, 0, filled(8, 8, 0.0, 0.0)),
         layout_tile(1, 2, 2, 4, 4, 1, filled(4, 4, -0.5, 0.25)),
         layout_tile(2, 8, 0, 3, 3, 2, filled(3, 3, 0.5, math.nan)),
-    ])
+    ], order=random.Random(2))
     @settings(max_examples=200, deadline=None)
-    def test_bits_match_full_tile_paint(self, kind, tiles):
+    def test_bits_match_full_tile_paint(self, kind, tiles, order):
         got = index_mosaic(kind, tiles, LAYOUT_QUERY)
         want, provenance = reference_index_mosaic(kind, tiles, LAYOUT_QUERY)
         assert got.values.dtype == np.float32 and got.values.shape == want.shape
         assert got.values.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
         assert got.provenance == provenance
         assert got.pixel_size_deg == LAYOUT_PX
+        # the per-tile step in shuffled order: every pixel has at most one owner
+        layout = _layout([(meta, nir.values.shape) for meta, nir, _ in tiles], LAYOUT_QUERY, None)
+        paint = list(layout.paint)
+        order.shuffle(paint)
+        canvas = np.full(layout.shape, np.nan, dtype=np.float32)
+        owners = np.zeros(layout.shape, dtype=int)
+        for i, dst, src, mask in paint:
+            _, nir, red = tiles[i]
+            _paint_index(kind, nir.values, red.values, canvas, dst, src, mask)
+            owners[dst] += 1 if mask is None else mask
+        assert owners.max() <= 1
+        assert canvas.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
 
     def test_band_shapes_checked_for_tiles_off_the_canvas(self):
         ok = layout_tile(0, 0, 0, 8, 8, 1, filled(8, 8, 0.5, 0.25))

@@ -19,7 +19,9 @@ from georace.cli import (
     main,
     parse_counts,
 )
+from georace.engine import Query, System, execute_query
 from georace.errors import ValidationError
+from georace.render import render_pgm
 from georace.synth import SceneSpec, corpus_extent, corpus_timespan
 
 
@@ -112,6 +114,9 @@ class TestQuery:
         rows, cols = doc["mosaic"]["rows"], doc["mosaic"]["cols"]
         assert blob.endswith(bytes([0]) * 0 + blob[-rows * cols:])  # payload present
         assert len(blob) == len(f"P5\n{cols} {rows}\n255\n") + rows * cols
+        q = Query(corpus_extent(spec), corpus_timespan(spec), "ndvi")
+        with System.open(store) as system:
+            assert blob == render_pgm(execute_query(system, q).mosaic, q.info)
 
     def test_query_with_verify_flag(self, ingested, capsys):
         store, spec = ingested
@@ -235,11 +240,19 @@ class TestServe:
     # pipes close
     @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["term", "kill"])
     def test_no_race_worker_outlives_the_server(self, ingested, sig):
-        store, _ = ingested
+        self.stop_server(ingested[0], sig)
+
+    def test_sigint_stops_a_server_that_started_with_it_ignored(self, ingested):
+        # a background job of a non-interactive shell starts with SIGINT ignored
+        self.stop_server(ingested[0], signal.SIGINT,
+                         preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+
+    @staticmethod
+    def stop_server(store, sig, preexec_fn=None):
         env = dict(os.environ, PYTHONPATH=str(Path(georace.__file__).parents[1]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "georace.cli", "serve", "--store", str(store), "--port", "0"],
-            stdout=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, env=env, preexec_fn=preexec_fn,
         )
         workers = []
         try:
@@ -248,7 +261,7 @@ class TestServe:
             assert len(workers) == 3
             proc.send_signal(sig)
             code = proc.wait(timeout=10)
-            if sig == signal.SIGTERM:
+            if sig != signal.SIGKILL:
                 assert code == EXIT_OK
             deadline = time.monotonic() + 2.0
             while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:

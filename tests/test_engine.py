@@ -10,10 +10,11 @@ import urllib.error
 import urllib.request
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import georace.bandmath
-from georace.bandmath import InfoKind, compute_index
+from georace.bandmath import InfoKind, compute_index, index_mosaic
 from georace.engine import (
     FETCH_THREAD_PREFIX,
     Query,
@@ -27,8 +28,9 @@ from georace.errors import CorruptionError, IndexMismatchError, UnavailableError
 from georace.geo import BoundingBox, TimeRange
 from georace.indexes import build_index
 from georace.racing import RaceConfig, RaceRunner
+from georace.render import render_pgm
 from georace.service import QueryService
-from georace.store import TileStore, tile_path
+from georace.store import RasterScene, TileStore, tile_path
 from georace.synth import (
     SceneSpec,
     WorkloadSpec,
@@ -296,6 +298,7 @@ class TestCulling:
             )
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(req, timeout=30)
+        err.value.close()
         assert err.value.code == 503
 
     def test_kernel_runs_once_on_the_overlap(self, stack, kernel_calls):
@@ -472,6 +475,17 @@ class TestParallelFetch:
             assert b.tile_ids == a.tile_ids
             assert b.mosaic.provenance == a.mosaic.provenance
 
+    @pytest.mark.parametrize("helpers", [True, False], ids=["helpers", "caller-only"])
+    def test_pgm_is_the_rendered_mosaic(self, big, monkeypatch, helpers):
+        spy = spy_on(big, monkeypatch)
+        if not helpers:
+            monkeypatch.setattr(big, "fetch_pool", None)
+        for q in self.queries():
+            res = execute_query(big, q)
+            assert bytes(res.pgm) == render_pgm(res.mosaic, q.info)
+            assert res.pgm.readonly
+        assert bool(spy.futures) is helpers
+
     def test_each_band_fetched_once(self, big, monkeypatch):
         spy = spy_on(big, monkeypatch)
         fetched = []
@@ -560,6 +574,7 @@ class TestParallelFetch:
                 )
                 with pytest.raises(urllib.error.HTTPError) as err:
                     urllib.request.urlopen(req, timeout=30)
+            err.value.close()
             assert err.value.code == 503
             assert spy.futures
 
@@ -621,6 +636,110 @@ class TestParallelFetch:
         assert finished  # on the caller alone, while every helper was busy
         assert done["res"].mosaic.values.tobytes() == want
         assert spy.futures and all(f.cancelled() for f in spy.futures)
+
+
+def plain_answer(system, q):
+    """The query as a loop gives it: every band fetched in catalog order,
+    then index_mosaic and render_pgm; (mosaic bytes, PGM) or the exception."""
+    metas = system.store.catalog_select(q.bbox, q.time)  # in catalog order
+    try:
+        tiles = [(m, system.store.fetch_band(m.tile_id, "NIR"),
+                  system.store.fetch_band(m.tile_id, "Red")) for m in metas]
+        mosaic = index_mosaic(q.info, tiles, q.bbox,
+                              pixel_size_deg=None if tiles else system.pixel_size_deg)
+    except Exception as exc:
+        return exc
+    return mosaic.values.tobytes(), render_pgm(mosaic, q.info)
+
+
+def answer(system, q):
+    try:
+        res = execute_query(system, q)
+    except Exception as exc:
+        return exc
+    return res.mosaic.values.tobytes(), bytes(res.pgm)
+
+
+def same(got, want):
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return got == want
+
+
+class TestPipeline:
+    """The per-tile pipeline against the plain loop, on layouts the
+    synthetic grid never makes: tiles that newer ones cover in part, and
+    tiles whose bands do not have the planned shape."""
+
+    EDGE = 0.25
+
+    def scene(self, col, row, capture, size_px=256, seed=0):
+        rng = np.random.default_rng(seed)
+        lon, lat = 10.0 + col * self.EDGE, 20.0 + row * self.EDGE
+        return RasterScene(
+            bbox=BoundingBox(lon, lon + self.EDGE, lat, lat + self.EDGE),
+            capture_time=capture, satellite="landsat8",
+            bands=tuple((label, rng.uniform(0.0, 1.0, (size_px, size_px)).astype(np.float32))
+                        for label in ("NIR", "Red")),
+        )
+
+    def open(self, root, scenes):
+        store = TileStore.create(root)
+        for scene in scenes:
+            store.ingest(scene)
+        return System.open(root, SystemConfig(race=RaceConfig(backend="thread")))
+
+    def box(self, col0, col1, row0, row1):
+        e = self.EDGE
+        return BoundingBox(10.0 + col0 * e, 10.0 + col1 * e, 20.0 + row0 * e, 20.0 + row1 * e)
+
+    @pytest.mark.parametrize("helpers", [True, False], ids=["helpers", "caller-only"])
+    def test_tiles_covered_in_part(self, tmp_path, monkeypatch, helpers):
+        # a 2 x 2 block, then newer tiles shifted by half a tile over it
+        scenes = [self.scene(c, r, 1000 + 2 * c + r, seed=c * 2 + r)
+                  for c in (0, 1) for r in (0, 1)]
+        scenes += [self.scene(c + 0.5, r + 0.5, 2000 + n, seed=10 + n)
+                   for n, (c, r) in enumerate(((0, 0), (1, 0), (0.5, 1)))]
+        with self.open(tmp_path / "store", scenes) as sys_:
+            spy = spy_on(sys_, monkeypatch)
+            if not helpers:
+                monkeypatch.setattr(sys_, "fetch_pool", None)
+            boxes = (self.box(0, 2, 0, 2), self.box(-1, 3, -1, 3), self.box(0.25, 1.75, 0.5, 1.5))
+            for box in boxes:
+                for info in InfoKind:
+                    q = Query(box, TimeRange(0, 10_000), info)
+                    got, want = answer(sys_, q), plain_answer(sys_, q)
+                    assert not isinstance(want, Exception) and same(got, want)
+        assert bool(spy.futures) is helpers
+
+    @pytest.mark.parametrize("size_px", [128, 512])
+    def test_band_of_another_shape(self, tmp_path, monkeypatch, size_px):
+        # the oldest tile has another pixel size than the plan's, and a newer
+        # tile is corrupt on every replica: the corruption is raised first
+        # (fetch before band math); repaired, the pixel sizes disagree; alone,
+        # the odd tile makes its own mosaic
+        scenes = [self.scene(c, 0, 2000 + c, seed=c) for c in range(4)]
+        scenes.append(self.scene(1, 0, 1000, size_px=size_px, seed=9))
+        with self.open(tmp_path / "store", scenes) as sys_:
+            spy = spy_on(sys_, monkeypatch)
+            store = sys_.store
+            q = Query(self.box(0, 4, 0, 1), TimeRange(0, 10_000), "ndvi")
+            newest = store.catalog_select(q.bbox, q.time)[-1]
+            saved = {}
+            for node in store.placement(newest.tile_id):
+                victim = store.root / "nodes" / node / tile_path(newest, "Red")
+                saved[victim] = victim.read_bytes()
+                victim.write_bytes(saved[victim][:-4] + b"\xde\xad\xbe\xef")
+            want = plain_answer(sys_, q)
+            assert isinstance(want, CorruptionError) and same(answer(sys_, q), want)
+            for victim, blob in saved.items():
+                victim.write_bytes(blob)
+            want = plain_answer(sys_, q)
+            assert isinstance(want, ValidationError) and same(answer(sys_, q), want)
+            lone = Query(self.box(1, 2, 0, 1), TimeRange(0, 1500), "rvi")
+            want = plain_answer(sys_, lone)
+            assert not isinstance(want, Exception) and same(answer(sys_, lone), want)
+            assert spy.futures
 
 
 class TestLifecycle:

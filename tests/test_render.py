@@ -16,7 +16,6 @@ from georace.render import (
     NO_DATA_BYTE,
     render_pgm,
     to_bytes_grid,
-    write_pgm,
 )
 
 
@@ -149,10 +148,3 @@ class TestPgm:
     def test_kind_accepts_string(self):
         vals = np.zeros((1, 1), dtype=np.float32)
         assert render_pgm(mosaic_of(vals), "rvi") == render_pgm(mosaic_of(vals), InfoKind.RVI)
-
-    def test_write_pgm_round_trip(self, tmp_path):
-        vals = np.array([[0.25, -0.25]], dtype=np.float32)
-        m = mosaic_of(vals)
-        out = tmp_path / "x.pgm"
-        write_pgm(m, out, InfoKind.NDVI)
-        assert out.read_bytes() == render_pgm(m, InfoKind.NDVI)

@@ -1,6 +1,7 @@
 """HTTP service endpoints, status mapping, and admin fault injection."""
 
 import base64
+import gc
 import http.client
 import json
 import urllib.error
@@ -42,7 +43,8 @@ def call(service, path, body=None, method=None):
         with urllib.request.urlopen(req, timeout=30) as resp:
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as err:
-        return err.code, json.loads(err.read())
+        with err:
+            return err.code, json.loads(err.read())
 
 
 def query_body(**over):
@@ -182,6 +184,7 @@ class TestQuery:
         req = urllib.request.Request(url, data=b"not json", method="POST")
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=10)
+        err.value.close()
         assert err.value.code == 400
 
 
@@ -244,6 +247,33 @@ class TestAdmin:
         assert "Unavailable" in doc["error"]
         status, _ = call(service, "/v1/query", query_body())
         assert status == 200
+
+
+class TestStop:
+    @pytest.mark.filterwarnings(
+        "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+    )
+    def test_stop_closes_keep_alive_connections(self, tmp_path):
+        root = tmp_path / "store"
+        store = TileStore.create(root)
+        for scene in generate_scenes(SceneSpec(count=4, seed=3, size_px=4)):
+            store.ingest(scene)
+        with System.open(root, SystemConfig(race=RaceConfig(backend="thread"))) as system:
+            svc = QueryService(system, port=0)
+            svc.start_background()
+            conn = http.client.HTTPConnection("127.0.0.1", svc.port, timeout=10)
+            try:
+                conn.request("GET", "/v1/health")
+                assert conn.getresponse().read()
+                svc.stop()
+                gc.collect()
+                # the stopped service answers no more requests on the connection
+                with pytest.raises((http.client.HTTPException, ConnectionError)):
+                    conn.request("GET", "/v1/health")
+                    conn.getresponse().read()
+            finally:
+                conn.close()
+        gc.collect()
 
 
 class TestTimeout:

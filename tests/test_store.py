@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+from georace.formats import HEADER_SIZE
 from conftest import oracle_scan
 from georace.errors import (
     CorruptionError,
@@ -22,6 +23,7 @@ from georace.store import (
     DEFAULT_BAND_LABELS,
     RasterScene,
     TileStore,
+    band_buffer,
     compute_index_keys,
     quadtree_path,
     tile_dir,
@@ -262,6 +264,47 @@ class TestFetch:
             first.flags.writeable = True
         assert not np.shares_memory(first, second)
         assert not np.shares_memory(first, scene.band("NIR"))
+
+    def test_pixels_are_aligned(self, store):
+        tile_id = store.ingest(scene_at(10.0, 20.0, 1000, size=7))
+        for into in (None, band_buffer(HEADER_SIZE + 4 * 7 * 7)):
+            for label in ("NIR", "Red"):
+                values = store.fetch_band(tile_id, label, into=into).values
+                assert values.flags.aligned and values.ctypes.data % 64 == 0
+
+    def test_read_into_a_buffer(self, store):
+        scene = scene_at(10.0, 20.0, 1000)
+        tile_id = store.ingest(scene)
+        buf = band_buffer(HEADER_SIZE + 4 * 8 * 8)
+        for label in ("NIR", "Red", "NIR"):
+            got = store.fetch_band(tile_id, label, into=buf).values
+            assert got.tobytes() == scene.band(label).tobytes()
+            assert not got.flags.writeable and np.shares_memory(got, buf)
+        # a buffer too small for the file is left alone, never cut short
+        small = band_buffer(HEADER_SIZE + 4 * 8)
+        got = store.fetch_band(tile_id, "Red", into=small).values
+        assert got.tobytes() == scene.band("Red").tobytes()
+        assert not np.shares_memory(got, small)
+
+    @pytest.mark.parametrize("into", [False, True], ids=["fresh", "into"])
+    def test_trailing_bytes_fail_verification(self, store, into):
+        scene = scene_at(10.0, 20.0, 1000)
+        tile_id = store.ingest(scene)
+        meta = store.metadata(tile_id)
+        holders = store.placement(tile_id)
+
+        def fetch():
+            buf = band_buffer(HEADER_SIZE + 4 * 8 * 8) if into else None
+            return store.fetch_band(tile_id, "NIR", into=buf).values.tobytes()
+
+        for n, node in enumerate(holders):
+            victim = store.root / "nodes" / node / tile_path(meta, "NIR")
+            victim.write_bytes(victim.read_bytes() + b"\0" * (4 * n + 1))
+            if n < len(holders) - 1:  # a later replica is intact
+                assert fetch() == scene.band("NIR").tobytes()
+        with pytest.raises(CorruptionError) as info:
+            fetch()
+        assert all(node in str(info.value) for node in holders)
 
     def test_checksums_cover_file_bytes(self, store):
         tile_id = store.ingest(scene_at(10.0, 20.0, 1000))
