@@ -19,7 +19,7 @@ MAX_MOSAIC_PIXELS pixels is refused before anything is allocated.
 
 One layout step serves both mosaics and the query engine. It needs only
 each tile's metadata and band shape, so the engine plans a query from the
-catalog geometry before it reads a band. It checks that all tiles share one
+catalog rows, which record both, before it reads a band. It checks that all tiles share one
 square pixel size, finds each tile's overlap with the canvas, and walks the
 tiles newest to oldest over a mask of claimed pixels: a tile that newer tiles
 cover on every pixel of its overlap is not painted at all, and every other
@@ -30,10 +30,10 @@ provenance still names every tile with a positive-area overlap.
 assemble_mosaic paints finished grids. _paint_index, the per-tile step of
 the query path, runs the band-math kernel on one tile's overlap only and
 writes the owned pixels straight into the canvas, so no pixel outside the
-query box or under a newer tile reaches the canvas; index_mosaic drives it
-over the tiles one after another, and the engine from every fetch thread.
-Elementwise math on a crop gives the same bits as the same math on the whole
-tile, so all mosaics agree byte for byte.
+query box or under a newer tile reaches the canvas; the engine runs it from
+every fetch thread. Elementwise math on a crop gives the same bits as the
+same math on the whole tile, so the engine's mosaic is byte for byte
+assemble_mosaic over compute_index of every tile.
 
 Results are read-only: an index is computed into one fresh float32 array,
 which its BandGrid wraps without a copy, and a Mosaic keeps its canvas.
@@ -70,13 +70,6 @@ class InfoKind(Enum):
             raise ValidationError(f"unknown info kind {name!r} (expected one of {valid})") from None
 
 
-def _check_dims(nir: BandGrid, red: BandGrid) -> None:
-    if nir.values.shape != red.values.shape:
-        raise ValidationError(
-            f"band dimensions disagree: NIR {nir.values.shape} vs Red {red.values.shape}"
-        )
-
-
 def _index_into(kind: InfoKind, n: np.ndarray, r: np.ndarray, out: np.ndarray) -> None:
     """The band-math kernel: one index over float32 n and r, written into out."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -97,7 +90,10 @@ def _index_into(kind: InfoKind, n: np.ndarray, r: np.ndarray, out: np.ndarray) -
 def compute_index(kind: InfoKind, nir: BandGrid, red: BandGrid) -> BandGrid:
     """One vegetation index, pixel-wise, dimensions preserved."""
     kind = InfoKind.parse(kind)
-    _check_dims(nir, red)
+    if nir.values.shape != red.values.shape:
+        raise ValidationError(
+            f"band dimensions disagree: NIR {nir.values.shape} vs Red {red.values.shape}"
+        )
     out = np.empty(nir.values.shape, dtype=np.float32)
     _index_into(kind, nir.values, red.values, out)
     return BandGrid._trusted(kind.value.upper(), out)
@@ -166,10 +162,6 @@ def mosaic_shape(bbox: BoundingBox, pixel_size_deg: float) -> tuple[int, int]:
 
 def _blank(shape: tuple[int, int]) -> np.ndarray:
     return np.full(shape, np.nan, dtype=np.float32)
-
-
-def empty_mosaic(bbox: BoundingBox, pixel_size_deg: float) -> Mosaic:
-    return Mosaic._adopt(bbox, _blank(mosaic_shape(bbox, pixel_size_deg)), pixel_size_deg, ())
 
 
 @dataclass(frozen=True)
@@ -280,25 +272,3 @@ def _paint_index(
     _index_into(kind, nir[src], red[src], out)
     np.copyto(canvas[dst], out, where=mask)
     return out
-
-
-def index_mosaic(
-    kind: InfoKind,
-    tiles: list[tuple[TileMetadata, BandGrid, BandGrid]],
-    query_bbox: BoundingBox,
-    *,
-    pixel_size_deg: float | None = None,
-) -> Mosaic:
-    """assemble_mosaic over compute_index of each (metadata, NIR, Red), with
-    the index computed only over the pixels that reach the mosaic: the
-    per-tile step _paint_index, run over the tiles one after another."""
-    kind = InfoKind.parse(kind)
-    for _, nir, red in tiles:
-        _check_dims(nir, red)
-    layout = _layout([(meta, nir.values.shape) for meta, nir, _ in tiles],
-                     query_bbox, pixel_size_deg)
-    canvas = _blank(layout.shape)
-    for i, dst, src, mask in layout.paint:
-        _, nir, red = tiles[i]
-        _paint_index(kind, nir.values, red.values, canvas, dst, src, mask)
-    return Mosaic._adopt(query_bbox, canvas, layout.pixel_size_deg, layout.provenance)

@@ -11,8 +11,8 @@ thread reuses for every tile it takes; run the band math on the tile's crop
 into the float canvas (bandmath._paint_index); and quantize that window into
 the pixels of the reply's PGM (render.to_bytes_grid). The calling thread and
 the system's persistent helper threads (one fewer than the CPUs the process
-may use) take tiles from one shared sequence. This holds for large tiles,
-whose band holds at least PARALLEL_FETCH_MIN_BAND_BYTES. With smaller bands,
+may use) take tiles from one shared sequence. This holds when the query's
+largest band holds at least PARALLEL_FETCH_MIN_BAND_BYTES. With smaller bands,
 handing the interpreter lock between threads costs more than the second CPU
 saves, so the calling thread does every tile alone, and it quantizes the
 canvas once at the end, since many small windows cost more to quantize than
@@ -20,43 +20,45 @@ one canvas.
 
 The band math needs a plan, which the calling thread makes while the helpers
 read and verify their first tiles: bandmath._layout lays the tiles out from
-their catalog geometry (band shape = footprint / pixel size) and gives each
-tile that reaches the mosaic the canvas pixels it owns. As every pixel has
-one owner, tiles can be done in any order.
+their catalog rows (footprint and band shape) and gives each tile that
+reaches the mosaic the canvas pixels it owns. As every pixel has one owner,
+tiles can be done in any order. The plan is exact: the store refuses a band
+whose shape is not the one its catalog row records.
 
-A failure is kept with its tile, and the one of the earliest tile in catalog
-order (capture time, then tile id) is raised, as a loop over the tiles would
-raise it. When the plan does not fit (a verified band has another shape than
-planned: NIR and Red disagree, or another pixel size), the query is run again
-the plain way: each band fetched one after another, then index_mosaic and
-render_pgm over the real shapes, so the reply, or the earliest error, is the
-one that way gives. Node liveness is read once per query, before the first
-fetch, and a query box whose mosaic would exceed bandmath.MAX_MOSAIC_PIXELS
-is refused before the race.
+A fetch failure is kept with its tile, and the one of the earliest tile in
+catalog order (capture time, then tile id) is raised, as a loop over the
+tiles would raise it. When the tiles cannot be laid out (they disagree on
+pixel size, or their mosaic would be too large at their own pixel size),
+every tile is still read and verified, and nothing is painted: the earliest
+fetch failure is raised, or else the layout's ValidationError. So each query
+takes one path, and the reply or error is the one that a loop fetching every
+tile and then assembling the mosaic gives. Node liveness is read once per
+query, before the first fetch, and a query box whose mosaic would exceed
+bandmath.MAX_MOSAIC_PIXELS at the store's pixel size is refused before the
+race.
 
 Timings: compute runs from the start of the per-tile steps until the plan is
 made, fetch from then until the image is done, so together they are the wall
-time of building the mosaic and its image; when the plan does not fit, the
-plain way's fetches add to fetch and its band math and render to compute.
+time of building the mosaic and its image.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .bandmath import (InfoKind, Mosaic, _blank, _layout, _paint_index, index_mosaic,
-                       mosaic_shape)
+from .bandmath import InfoKind, Mosaic, _blank, _layout, _paint_index, mosaic_shape
 from .errors import IndexMismatchError, ValidationError
 from .formats import HEADER_SIZE
 from .geo import BoundingBox, TimeRange
 from .indexes import IndexConfig
 from .multi_index import MultiIndex, build_all
 from .racing import RaceConfig, RaceOutcome, RaceRunner
-from .render import blank_pgm, render_pgm, to_bytes_grid
+from .render import blank_pgm, to_bytes_grid
 from .store import TileStore, band_buffer
 
 NIR_BAND = "NIR"
@@ -90,8 +92,7 @@ class StageTimings:
     compute is the time until the query's plan is made, while the first
     tiles are read; fetch is the rest of the per-tile steps (read, verify,
     band math and quantize into the PGM, on every thread), and for small
-    tiles the quantization of the canvas. See the module docstring for the
-    plain way's share."""
+    tiles the quantization of the canvas."""
 
     index: float
     select: float
@@ -143,11 +144,10 @@ class System:
             if self.fetch_helpers > 0
             else None
         )
-        self.pixel_size_deg = config.default_pixel_size_deg
         rows = store.catalog_rows()
-        if rows:
-            dims = store.band_dims(rows[0].tile_id)
-            self.pixel_size_deg = rows[0].bbox.width / dims[1]
+        self.pixel_size_deg = (
+            rows[0].bbox.width / rows[0].shape[1] if rows else config.default_pixel_size_deg
+        )
 
     @classmethod
     def open(cls, store_root, config: SystemConfig | None = None) -> "System":
@@ -199,21 +199,8 @@ def execute_query(system: System, q: Query, *, verification: bool | None = None)
 
     t0 = time.perf_counter()
     live = frozenset(system.store.live_nodes())
-    built, t_compute = _build(system, q, metas, live)
+    mosaic, pgm, t_compute = _build(system, q, metas, live)
     t_fetch = time.perf_counter() - t0 - t_compute
-    if built is not None:
-        mosaic, pgm = built
-    else:  # the plan does not fit the bands: the plain way, for its reply or error
-        t0 = time.perf_counter()
-        fetched = [(m, system.store.fetch_band(m.tile_id, NIR_BAND, live=live),
-                    system.store.fetch_band(m.tile_id, RED_BAND, live=live)) for m in metas]
-        t_fetch += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        mosaic = index_mosaic(
-            q.info, fetched, q.bbox, pixel_size_deg=None if fetched else system.pixel_size_deg
-        )
-        pgm = memoryview(render_pgm(mosaic, q.info))
-        t_compute += time.perf_counter() - t0
 
     timings = StageTimings(
         index=t_index,
@@ -232,20 +219,15 @@ def execute_query(system: System, q: Query, *, verification: bool | None = None)
     )
 
 
-_MISFIT = "misfit"  # a slot's mark: a band of the tile verified at a shape the plan does not have
-
-
 def _build(system: System, q: Query, metas: list, live: frozenset):
-    """Every tile's step, on the caller and the helpers. Returns the (mosaic,
-    PGM), or None when the plan does not fit the bands, and the seconds the
-    caller took to plan."""
+    """Every tile's step, on the caller and the helpers. Returns the mosaic,
+    its PGM and the seconds the caller took to plan."""
     store, kind, px = system.store, q.info, system.pixel_size_deg
     t0 = time.perf_counter()
-    shapes = [(round(m.bbox.height / px), round(m.bbox.width / px)) for m in metas]
-    band_bytes = max((4 * rows * cols for rows, cols in shapes), default=0)
+    band_bytes = max((4 * math.prod(m.shape) for m in metas), default=0)
     planned = threading.Event()
-    owned = None  # tile position -> (canvas window, tile window, mask), once planned
-    slots: list = [None] * len(metas)
+    owned = {}  # tile position -> (canvas window, tile window, mask), once planned
+    failures: list = [None] * len(metas)  # each tile's fetch error
     positions = iter(range(len(metas)))  # next() on a range iterator is atomic
 
     def drain() -> None:
@@ -257,12 +239,9 @@ def _build(system: System, q: Query, metas: list, live: frozenset):
                 nir = store.fetch_band(tile_id, NIR_BAND, live=live, into=nir_buf).values
                 red = store.fetch_band(tile_id, RED_BAND, live=live, into=red_buf).values
             except Exception as exc:  # raised by the caller, in catalog order
-                slots[i] = exc
+                failures[i] = exc
                 break  # tiles after this one cannot change which error is raised
             planned.wait()
-            if owned is None or nir.shape != shapes[i] or red.shape != shapes[i]:
-                slots[i] = _MISFIT
-                break  # the plain way takes over
             if i in owned:
                 dst, src, mask = owned[i]
                 window = _paint_index(kind, nir, red, canvas, dst, src, mask)
@@ -274,42 +253,42 @@ def _build(system: System, q: Query, metas: list, live: frozenset):
     # as soon as computed and while in cache, so no pixel without data is
     # quantized; small ones, once over the whole canvas at the end, as a small
     # window costs more per pixel (64 px: 5.8 ns against 3.9 ns).
-    large = bool(metas) and 4 * shapes[0][0] * shapes[0][1] >= PARALLEL_FETCH_MIN_BAND_BYTES
+    large = band_bytes >= PARALLEL_FETCH_MIN_BAND_BYTES
     helpers = 0
     if large and len(metas) > 1 and system.fetch_pool is not None:
         helpers = min(system.fetch_helpers, len(metas) - 1)
     futures = []
+    unplanned = None  # the layout's error: every tile is read, none painted
     try:
         for _ in range(helpers):
             futures.append(system.fetch_pool.submit(drain))
         # the helpers fetch and verify their first tiles while the caller plans
         try:
-            layout = _layout(list(zip(metas, shapes)), q.bbox, None if metas else px)
-        except ValidationError:
-            pass
+            layout = _layout([(m, m.shape) for m in metas], q.bbox, None if metas else px)
+        except ValidationError as exc:
+            unplanned = exc
         else:
             canvas = _blank(layout.shape)
             pgm, pixels = blank_pgm(layout.shape)
             owned = {i: (dst, src, mask) for i, dst, src, mask in layout.paint}
         t_plan = time.perf_counter() - t0
         planned.set()
-        if owned is not None:
-            drain()
+        drain()
     finally:
         planned.set()
         # a helper still queued (behind another query's) is cancelled, never awaited
         for future in futures:
             if not future.cancel():
                 future.result()
-    if owned is None or _MISFIT in slots:
-        return None, t_plan
-    for slot in slots:
-        if isinstance(slot, Exception):
-            raise slot
+    for failure in failures:
+        if failure is not None:
+            raise failure
+    if unplanned is not None:
+        raise unplanned
     if not large:
         to_bytes_grid(canvas, kind, out=pixels)
     mosaic = Mosaic._adopt(q.bbox, canvas, layout.pixel_size_deg, layout.provenance)
-    return (mosaic, memoryview(pgm).toreadonly()), t_plan
+    return mosaic, memoryview(pgm).toreadonly(), t_plan
 
 
 @dataclass

@@ -64,18 +64,6 @@ def unpack_band(blob, *, source: str = "band file") -> np.ndarray:
     return arr
 
 
-def read_band_dims(path) -> tuple[int, int]:
-    """(rows, cols) from a band file header without reading pixels."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-    if len(head) < _HEADER.size:
-        raise CorruptionError(f"{path}: truncated header")
-    magic, version, rows, cols = _HEADER.unpack(head)
-    if magic != BAND_MAGIC or version != BAND_VERSION:
-        raise CorruptionError(f"{path}: bad band file header")
-    return rows, cols
-
-
 def save_scene_npz(path, bands: dict[str, np.ndarray], meta: dict) -> None:
     """One scene to a .npz: per-band arrays plus a JSON meta string."""
     arrays = {f"band_{label}": np.asarray(grid, dtype=np.float32) for label, grid in bands.items()}

@@ -33,7 +33,6 @@ import os
 import pickle
 import struct
 import time
-from dataclasses import dataclass
 from multiprocessing import get_context
 
 from .errors import IndexBuildError, ValidationError
@@ -48,8 +47,6 @@ from .indexes import (
     build_index_from_rows,
 )
 
-DEFAULT_REPLICAS = ("node_00", "node_01", "node_02")
-
 _GEOHASH = IndexKind.GEOHASH.value
 _ENSEMBLE = (_GEOHASH, IndexKind.QUADTREE.value, IndexKind.ORTHOLIST.value)
 # the kinds built whole, in the calling process; GeoHash, the longest build,
@@ -60,35 +57,13 @@ _WHOLE = (IndexKind.QUADTREE.value, IndexKind.ORTHOLIST.value)
 _GEOHASH_CHUNK = 256
 
 
-@dataclass(frozen=True)
-class BuildStats:
-    kind: str
-    build_seconds: float
-    serialized_bytes: int
-
-
 class MultiIndex:
-    """The three equivalent indexes plus snapshot/replica bookkeeping."""
+    """The three equivalent indexes plus the stamp of their entry snapshot."""
 
-    def __init__(
-        self,
-        indexes: dict[str, RangeIndex],
-        snapshot: str,
-        replica_assignment: dict[str, str],
-        build_wall_seconds: float,
-    ):
+    def __init__(self, indexes: dict[str, RangeIndex], snapshot: str, build_wall_seconds: float):
         self.indexes = indexes
         self.snapshot = snapshot
-        self.replica_assignment = replica_assignment
         self.build_wall_seconds = build_wall_seconds
-
-    @property
-    def build_stats(self) -> tuple[BuildStats, ...]:
-        """Per-kind build time and size; serializes each index on first use."""
-        return tuple(
-            BuildStats(kind, idx.build_seconds, idx.serialized_size)
-            for kind, idx in self.indexes.items()
-        )
 
     def __len__(self) -> int:
         return len(next(iter(self.indexes.values())))
@@ -206,7 +181,6 @@ def build_all(
     entries,
     *,
     config: IndexConfig | None = None,
-    replicas: tuple[str, str, str] = DEFAULT_REPLICAS,
     executor: str = "auto",
     max_workers: int = 3,
 ) -> MultiIndex:
@@ -223,8 +197,6 @@ def build_all(
         raise ValidationError(f"executor must be auto|serial|process, got {executor!r}")
     if max_workers < 1:
         raise ValidationError("max_workers must be >= 1")
-    if len(replicas) != 3 or len(set(replicas)) != 3:
-        raise ValidationError("exactly three distinct replica node ids required")
     config = config or IndexConfig()
     rows = _rows_from_entries(entries)  # validates + duplicate check once
 
@@ -267,6 +239,5 @@ def build_all(
                 proc.terminate()
             proc.join()
     wall = time.perf_counter() - started
-    assignment = {kind: replicas[i] for i, kind in enumerate(_ENSEMBLE)}
-    return MultiIndex({kind: built[kind] for kind in _ENSEMBLE}, stamp, assignment, wall)
+    return MultiIndex({kind: built[kind] for kind in _ENSEMBLE}, stamp, wall)
 

@@ -11,29 +11,41 @@ Layout per node:   lon_<FFF>/lat_<FFF>/<YYYY>/<tile_id>/<band>.band
 Catalog:           <root>/catalog.ndjson (one JSON object per tile, same
                    keys as meta.json, insertion order = ingest order)
 
+A catalog row holds, in this order: tile_id; the footprint (min_lon,
+max_lon, min_lat, max_lat); capture_time; satellite; bands, the band labels
+in scene order; rows and cols, the shape every band of the tile has; and
+checksums, each band file's SHA-256. Open checks that every key is there,
+that rows and cols are positive ints and that the tile id matches the
+footprint, time and satellite; it reads no band file.
+
 Replica placement is not persisted separately. The nodes holding a tile are
 found by probing the node directories, in node order, which is also the
 failover order for reads. Tiles never move after ingest, so each tile's
-nodes are looked up once, on its first read, and kept; ingest records them
-directly and open probes nothing. A replica file that has gone missing makes
-the read look that tile's nodes up again, once, before it fails over.
+nodes are looked up once, on its first read, and kept with the tile's
+directory; ingest records both directly and open probes nothing. A replica
+file that has gone missing makes the read look that tile's nodes up again,
+once, before it fails over.
 
 Liveness is read from the .down markers once per call of fetch_band, or once
 per query when the engine passes the live nodes in. A read verifies the band
 bytes against their SHA-256 in the catalog; a replica that does not match is
 skipped for the next live one, and CorruptionError, naming every bad node,
-is raised only when no live replica verifies. A band file is read whole,
-with readinto, into a buffer laid out so that the pixels after the 14-byte
-header start on a 64-byte boundary; a file longer than the buffer goes to a
-larger one, never cut to fit, so trailing bytes fail the checksum.
+is raised only when no live replica verifies. Verified bytes whose header
+shape is not the catalog's rows and cols raise CorruptionError at once:
+every replica holds those same bytes, so the catalog row is at fault.
+
+A band file is read whole, with readinto, into a buffer laid out so that
+the pixels after the 14-byte header start on a 64-byte boundary; a file
+longer than the buffer goes to a larger one, never cut to fit, so trailing
+bytes fail the checksum.
 Verified bytes are decoded without a copy: the BandGrid is a read-only view
 of the buffer. The caller may pass the buffer (band_buffer) and reuse it for
 the next band; otherwise each read gets a fresh one.
 
 The query engine calls fetch_band from several threads at once, one tile
 per thread, each with its own buffers. Its only write to shared state is the
-single dict assignment that keeps a tile's looked-up nodes in _holders; two
-threads looking up the same tile store the same tuple.
+single dict assignment that keeps a tile's directory and looked-up nodes in
+_holders; two threads looking up the same tile store equal tuples.
 """
 
 from __future__ import annotations
@@ -59,7 +71,6 @@ from .errors import (
     ValidationError,
 )
 from .geo import BoundingBox, TimeRange, derive_tile_id, intersects, overlaps_time
-from .geohash import encode as geohash_encode
 from .indexes import IndexConfig, IndexEntry
 
 REPLICATION_FACTOR = 3
@@ -88,22 +99,10 @@ _META_KEYS = (
     "capture_time",
     "satellite",
     "bands",
-    "geohash",
-    "quadtree_path",
-    "grid_row",
-    "grid_col",
+    "rows",
+    "cols",
     "checksums",
 )
-
-
-@dataclass(frozen=True)
-class IndexKeys:
-    """Per-tile index keys precomputed at ingest, recomputable from the bbox."""
-
-    geohash: str
-    quadtree_path: str
-    grid_row: int
-    grid_col: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,59 +210,13 @@ class TileMetadata:
     capture_time: int
     satellite: str
     band_labels: tuple[str, ...]
-    index_keys: IndexKeys
+    shape: tuple[int, int]  # (rows, cols) of every band of the tile
     checksums: dict[str, str]
 
     def entry(self) -> IndexEntry:
         return IndexEntry(
             self.tile_id, self.bbox, TimeRange(self.capture_time, self.capture_time)
         )
-
-
-def quadtree_path(bbox: BoundingBox, max_depth: int) -> str:
-    """Concatenated NW/NE/SW/SE tokens of the deepest quadrant chain fully
-    containing the bbox; "" when the world root is the only container."""
-    lo_x, hi_x, lo_y, hi_y = -180.0, 180.0, -90.0, 90.0
-    path: list[str] = []
-    while len(path) < max_depth:
-        mid_x = (lo_x + hi_x) / 2.0
-        mid_y = (lo_y + hi_y) / 2.0
-        quads = (
-            ("NW", lo_x, mid_x, mid_y, hi_y),
-            ("NE", mid_x, hi_x, mid_y, hi_y),
-            ("SW", lo_x, mid_x, lo_y, mid_y),
-            ("SE", mid_x, hi_x, lo_y, mid_y),
-        )
-        for name, qlo_x, qhi_x, qlo_y, qhi_y in quads:
-            if (
-                qlo_x <= bbox.min_lon
-                and bbox.max_lon <= qhi_x
-                and qlo_y <= bbox.min_lat
-                and bbox.max_lat <= qhi_y
-            ):
-                path.append(name)
-                lo_x, hi_x, lo_y, hi_y = qlo_x, qhi_x, qlo_y, qhi_y
-                break
-        else:
-            break
-    return "".join(path)
-
-
-def compute_index_keys(bbox: BoundingBox, config: IndexConfig | None = None) -> IndexKeys:
-    """Index keys for a tile footprint: geohash and grid cell use the center."""
-    config = config or IndexConfig()
-    center = bbox.center()
-    cell = config.grid_cell_deg
-    n_cols = math.ceil(360.0 / cell)
-    n_rows = math.ceil(180.0 / cell)
-    col = min(max(int(math.floor((center.lon + 180.0) / cell)), 0), n_cols - 1)
-    row = min(max(int(math.floor((90.0 - center.lat) / cell)), 0), n_rows - 1)
-    return IndexKeys(
-        geohash=geohash_encode(center, config.geohash_precision),
-        quadtree_path=quadtree_path(bbox, config.quad_max_depth),
-        grid_row=row,
-        grid_col=col,
-    )
 
 
 def band_buffer(nbytes: int) -> np.ndarray:
@@ -318,16 +271,14 @@ def _meta_row(meta: TileMetadata) -> str:
         "capture_time": meta.capture_time,
         "satellite": meta.satellite,
         "bands": list(meta.band_labels),
-        "geohash": meta.index_keys.geohash,
-        "quadtree_path": meta.index_keys.quadtree_path,
-        "grid_row": meta.index_keys.grid_row,
-        "grid_col": meta.index_keys.grid_col,
+        "rows": meta.shape[0],
+        "cols": meta.shape[1],
         "checksums": {label: meta.checksums[label] for label in meta.band_labels},
     }
     return json.dumps(doc, separators=(",", ":"))
 
 
-def _parse_meta_row(line: str, config: IndexConfig, *, source: str) -> TileMetadata:
+def _parse_meta_row(line: str, *, source: str) -> TileMetadata:
     try:
         doc = json.loads(line)
     except ValueError as exc:
@@ -335,23 +286,20 @@ def _parse_meta_row(line: str, config: IndexConfig, *, source: str) -> TileMetad
     missing = [k for k in _META_KEYS if k not in doc]
     if missing:
         raise CorruptionError(f"{source}: row missing keys {missing}")
+    for key in ("rows", "cols"):
+        value = doc[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise CorruptionError(f"{source}: {key} must be a positive int, got {value!r}")
     bbox = BoundingBox(doc["min_lon"], doc["max_lon"], doc["min_lat"], doc["max_lat"])
-    keys = IndexKeys(doc["geohash"], doc["quadtree_path"], doc["grid_row"], doc["grid_col"])
     meta = TileMetadata(
         tile_id=doc["tile_id"],
         bbox=bbox,
         capture_time=int(doc["capture_time"]),
         satellite=doc["satellite"],
         band_labels=tuple(doc["bands"]),
-        index_keys=keys,
+        shape=(doc["rows"], doc["cols"]),
         checksums=dict(doc["checksums"]),
     )
-    expected = compute_index_keys(bbox, config)
-    if keys != expected:
-        raise CorruptionError(
-            f"{source}: tile {meta.tile_id}: stored index keys {keys} "
-            f"disagree with bbox-derived {expected}"
-        )
     if derive_tile_id(bbox, meta.capture_time, meta.satellite) != meta.tile_id:
         raise CorruptionError(f"{source}: tile {meta.tile_id}: id does not match metadata")
     return meta
@@ -370,7 +318,8 @@ class TileStore:
         self._node_roots = {node: f"{self.root}/nodes/{node}/" for node in self.node_ids}
         self._rows: list[TileMetadata] = []
         self._by_id: dict[str, TileMetadata] = {}
-        self._holders: dict[str, tuple[str, ...]] = {}
+        # tile id -> (its coordinate-tree directory, the nodes holding it)
+        self._holders: dict[str, tuple[str, tuple[str, ...]]] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -402,7 +351,7 @@ class TileStore:
                 line = line.strip()
                 if not line:
                     continue
-                meta = _parse_meta_row(line, store.config, source=f"catalog row {n}")
+                meta = _parse_meta_row(line, source=f"catalog row {n}")
                 if meta.tile_id in store._by_id:
                     raise CorruptionError(f"catalog row {n}: duplicate tile {meta.tile_id}")
                 store._rows.append(meta)
@@ -457,7 +406,7 @@ class TileStore:
             capture_time=scene.capture_time,
             satellite=scene.satellite,
             band_labels=scene.band_labels,
-            index_keys=compute_index_keys(scene.bbox, self.config),
+            shape=(scene.rows, scene.cols),
             checksums=checksums,
         )
         row = _meta_row(meta)
@@ -472,7 +421,7 @@ class TileStore:
             fh.write(row + "\n")
         self._rows.append(meta)
         self._by_id[tile_id] = meta
-        self._holders[tile_id] = tuple(node for node in self.node_ids if node in placement)
+        self._holders[tile_id] = rel, tuple(node for node in self.node_ids if node in placement)
         return tile_id
 
     # -- catalog ---------------------------------------------------------------
@@ -510,18 +459,21 @@ class TileStore:
 
     # -- reads -----------------------------------------------------------------
 
-    def _locate(self, tile_id: str) -> tuple[str, ...]:
-        """Probe every node for the tile's directory and keep the result."""
+    def _locate(self, tile_id: str) -> tuple[str, tuple[str, ...]]:
+        """Probe every node for the tile's directory; (directory, holders).
+        Kept only when some node holds the tile: a tile no node holds is
+        probed again on its next read."""
         rel = tile_dir(self.metadata(tile_id))
         holders = tuple(
             node for node in self.node_ids if os.path.isdir(self._node_roots[node] + rel)
         )
-        self._holders[tile_id] = holders
-        return holders
+        if holders:
+            self._holders[tile_id] = rel, holders
+        return rel, holders
 
     def placement(self, tile_id: str) -> list[str]:
         """Nodes holding this tile, in node (= failover) order."""
-        return list(self._holders.get(tile_id) or self._locate(tile_id))
+        return list((self._holders.get(tile_id) or self._locate(tile_id))[1])
 
     def fetch_band(
         self,
@@ -540,9 +492,9 @@ class TileStore:
         meta = self.metadata(tile_id)
         if band_label not in meta.band_labels:
             raise ValidationError(f"tile {tile_id} has no band {band_label!r}")
-        rel = tile_path(meta, band_label)
+        tile_rel, holders = self._holders.get(tile_id) or self._locate(tile_id)
+        rel = f"{tile_rel}/{band_label}.band"
         expected = meta.checksums[band_label]
-        holders = self._holders.get(tile_id) or self._locate(tile_id)
         tried: list[str] = []
         corrupt: list[str] = []
         for attempt in range(2):
@@ -560,11 +512,18 @@ class TileStore:
                         break  # the kept placement is stale: look it up again
                     continue
                 if hashlib.sha256(blob).hexdigest() == expected:
-                    return BandGrid._trusted(band_label, formats.unpack_band(blob, source=rel))
+                    values = formats.unpack_band(blob, source=rel)
+                    if values.shape != meta.shape:  # the same bytes on every replica
+                        raise CorruptionError(
+                            f"{tile_id}/{band_label}: band is {values.shape[0]} x "
+                            f"{values.shape[1]} pixels, the catalog says "
+                            f"{meta.shape[0]} x {meta.shape[1]}"
+                        )
+                    return BandGrid._trusted(band_label, values)
                 corrupt.append(node)
             else:
                 break
-            holders = self._locate(tile_id)
+            _, holders = self._locate(tile_id)
         if corrupt:
             raise CorruptionError(
                 f"checksum mismatch for {tile_id}/{band_label} on {', '.join(corrupt)}"
@@ -572,15 +531,6 @@ class TileStore:
         raise UnavailableError(
             f"no live replica for tile {tile_id} ({len(holders)} holders, {len(tried)} readable)"
         )
-
-    def band_dims(self, tile_id: str) -> tuple[int, int]:
-        """(rows, cols) of a tile's bands from the first live replica header."""
-        meta = self.metadata(tile_id)
-        rel = tile_path(meta, meta.band_labels[0])
-        for node in self.placement(tile_id):
-            if self.node_alive(node):
-                return formats.read_band_dims(self._node_roots[node] + rel)
-        raise UnavailableError(f"no live replica for tile {tile_id}")
 
     # -- scene files -------------------------------------------------------------
 

@@ -17,13 +17,11 @@ from georace.bandmath import (
     _paint_index,
     assemble_mosaic,
     compute_index,
-    empty_mosaic,
-    index_mosaic,
     mosaic_shape,
 )
 from georace.errors import ValidationError
 from georace.geo import BoundingBox
-from georace.store import BandGrid, IndexKeys, TileMetadata
+from georace.store import BandGrid, TileMetadata
 
 
 def grid(values, label="NIR"):
@@ -88,14 +86,16 @@ def band_pairs(*pixels):
     return np.array([pixels], dtype=np.float32)
 
 
-def meta_for(tile_id, bbox, capture_time, satellite="landsat8"):
+def meta_for(tile_id, bbox, capture_time, satellite="landsat8", shape=None):
+    """A catalog row; assemble_mosaic takes the band shape from the grids, so
+    only the layout tests give one."""
     return TileMetadata(
         tile_id=tile_id,
         bbox=bbox,
         capture_time=capture_time,
         satellite=satellite,
         band_labels=("NIR", "Red"),
-        index_keys=IndexKeys("s0000", "", 0, 0),
+        shape=shape,
         checksums={},
     )
 
@@ -257,7 +257,8 @@ def layout_tile(i, col, row, width, height, capture, bands):
     lon = col * LAYOUT_PX
     lat = LAYOUT_QUERY.max_lat - row * LAYOUT_PX
     bbox = BoundingBox(lon, lon + width * LAYOUT_PX, lat - height * LAYOUT_PX, lat)
-    return (meta_for(f"t{i}", bbox, capture), grid(bands[..., 0]), grid(bands[..., 1], "Red"))
+    meta = meta_for(f"t{i}", bbox, capture, shape=(height, width))
+    return meta, grid(bands[..., 0]), grid(bands[..., 1], "Red")
 
 
 @st.composite
@@ -295,14 +296,20 @@ class TestIndexMosaic:
     ], order=random.Random(2))
     @settings(max_examples=200, deadline=None)
     def test_bits_match_full_tile_paint(self, kind, tiles, order):
-        got = index_mosaic(kind, tiles, LAYOUT_QUERY)
         want, provenance = reference_index_mosaic(kind, tiles, LAYOUT_QUERY)
+        in_catalog_order = sorted(tiles, key=lambda t: (t[0].capture_time, t[0].tile_id))
+        got = assemble_mosaic(
+            [(meta, compute_index(kind, nir, red)) for meta, nir, red in in_catalog_order],
+            LAYOUT_QUERY,
+        )
         assert got.values.dtype == np.float32 and got.values.shape == want.shape
         assert got.values.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
         assert got.provenance == provenance
         assert got.pixel_size_deg == LAYOUT_PX
-        # the per-tile step in shuffled order: every pixel has at most one owner
-        layout = _layout([(meta, nir.values.shape) for meta, nir, _ in tiles], LAYOUT_QUERY, None)
+        # the engine's way: a layout from the catalog rows, then the per-tile
+        # step in shuffled order; every pixel has at most one owner
+        layout = _layout([(meta, meta.shape) for meta, _, _ in tiles], LAYOUT_QUERY, None)
+        assert layout.provenance == provenance
         paint = list(layout.paint)
         order.shuffle(paint)
         canvas = np.full(layout.shape, np.nan, dtype=np.float32)
@@ -313,13 +320,6 @@ class TestIndexMosaic:
             owners[dst] += 1 if mask is None else mask
         assert owners.max() <= 1
         assert canvas.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
-
-    def test_band_shapes_checked_for_tiles_off_the_canvas(self):
-        ok = layout_tile(0, 0, 0, 8, 8, 1, filled(8, 8, 0.5, 0.25))
-        meta, nir, _ = layout_tile(1, 20, 20, 2, 2, 0, filled(2, 2, 0.5, 0.25))
-        bad = (meta, nir, grid(np.ones((2, 3), np.float32), "Red"))
-        with pytest.raises(ValidationError, match="dimensions"):
-            index_mosaic(InfoKind.NDVI, [ok, bad], LAYOUT_QUERY)
 
 
 class TestMosaic:
@@ -457,11 +457,12 @@ class TestMosaic:
         assert out.provenance == ()
 
     def test_empty_mosaic_never_zero_sized(self):
-        out = empty_mosaic(BoundingBox(0.0, 0.1, 0.0, 0.1), 10.0)
-        assert out.values.shape == (1, 1)
+        bbox = BoundingBox(0.0, 0.1, 0.0, 0.1)
+        assert mosaic_shape(bbox, 10.0) == (1, 1)
+        assert assemble_mosaic([], bbox, pixel_size_deg=10.0).values.shape == (1, 1)
 
     def test_mosaic_values_read_only(self):
-        out = empty_mosaic(BoundingBox(0, 1, 0, 1), 0.5)
+        out = assemble_mosaic([], BoundingBox(0, 1, 0, 1), pixel_size_deg=0.5)
         with pytest.raises(ValueError):
             out.values[0, 0] = 1.0
 
@@ -478,7 +479,9 @@ class TestMosaic:
 
     def test_pixel_size_must_be_positive(self):
         with pytest.raises(ValidationError, match="positive"):
-            empty_mosaic(BoundingBox(0.0, 1.0, 0.0, 1.0), 0.0)
+            mosaic_shape(BoundingBox(0.0, 1.0, 0.0, 1.0), 0.0)
+        with pytest.raises(ValidationError, match="positive"):
+            assemble_mosaic([], BoundingBox(0.0, 1.0, 0.0, 1.0), pixel_size_deg=0.0)
 
     def test_mosaic_grid_must_be_two_dimensional(self):
         with pytest.raises(ValidationError):
@@ -508,7 +511,7 @@ class TestMosaicLimit:
         try:
             tracemalloc.reset_peak()
             with pytest.raises(ValidationError, match="limit"):
-                empty_mosaic(self.WORLD, self.PX)
+                assemble_mosaic([], self.WORLD, pixel_size_deg=self.PX)
             with pytest.raises(ValidationError, match="limit"):
                 assemble_mosaic([tile], self.WORLD)
             _, peak = tracemalloc.get_traced_memory()

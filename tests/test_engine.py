@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import georace.bandmath
-from georace.bandmath import InfoKind, compute_index, index_mosaic
+from georace.bandmath import InfoKind, assemble_mosaic, compute_index
 from georace.engine import (
     FETCH_THREAD_PREFIX,
     Query,
@@ -223,6 +223,30 @@ class TestFailureTransparency:
         execute_query(system, q)
         assert any("/node_00/" in path for path in opened)
 
+    def test_store_with_every_node_down_opens(self, tmp_path):
+        # open reads no band file: the store opens, and each query then fails
+        spec = SceneSpec(count=4, seed=5, size_px=8)
+        store = TileStore.create(tmp_path / "store")
+        for scene in generate_scenes(spec):
+            store.ingest(scene)
+        for node in store.node_ids:
+            store.fail_node(node)
+        with System.open(store.root, SystemConfig(race=RaceConfig(backend="thread"))) as sys_:
+            assert sys_.pixel_size_deg == spec.tile_edge_deg / spec.size_px
+            q = full_query(spec)
+            with pytest.raises(UnavailableError):
+                execute_query(sys_, q)
+            with QueryService(sys_, port=0) as svc:
+                svc.start_background()
+                req = urllib.request.Request(
+                    f"http://127.0.0.1:{svc.port}/v1/query",
+                    data=json.dumps(query_doc(q)).encode(), method="POST",
+                )
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    urllib.request.urlopen(req, timeout=30)
+            err.value.close()
+            assert err.value.code == 503
+
     def test_all_nodes_down_propagates_unavailable(self, system):
         for node in system.store.node_ids:
             system.store.fail_node(node)
@@ -300,6 +324,20 @@ class TestCulling:
                 urllib.request.urlopen(req, timeout=30)
         err.value.close()
         assert err.value.code == 503
+
+    def test_band_shape_checked_for_tiles_painted_over(self, stack):
+        # the oldest capture's row claims one more pixel row than its bands have
+        q = Query(corpus_extent(self.STACK), corpus_timespan(self.STACK), "ndvi")
+        oldest = execute_query(stack, q).tile_ids[0]
+        catalog = stack.store.root / "catalog.ndjson"
+        rows = [json.loads(line) for line in catalog.read_text().splitlines()]
+        for row in rows:
+            if row["tile_id"] == oldest:
+                row["rows"] += 1
+        catalog.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with System.open(stack.store.root, SystemConfig(race=RaceConfig(backend="thread"))) as sys_:
+            with pytest.raises(CorruptionError, match=f"{oldest}/NIR: .* the catalog says 9 x 8"):
+                execute_query(sys_, q)
 
     def test_kernel_runs_once_on_the_overlap(self, stack, kernel_calls):
         # the box covers the footprint's south-west quarter and open ground
@@ -639,14 +677,16 @@ class TestParallelFetch:
 
 
 def plain_answer(system, q):
-    """The query as a loop gives it: every band fetched in catalog order,
-    then index_mosaic and render_pgm; (mosaic bytes, PGM) or the exception."""
+    """The query as a loop gives it: the index of every tile in catalog
+    order, from its fetched bands, then assemble_mosaic and render_pgm;
+    (mosaic bytes, PGM) or the exception."""
     metas = system.store.catalog_select(q.bbox, q.time)  # in catalog order
+    fetch = system.store.fetch_band
     try:
-        tiles = [(m, system.store.fetch_band(m.tile_id, "NIR"),
-                  system.store.fetch_band(m.tile_id, "Red")) for m in metas]
-        mosaic = index_mosaic(q.info, tiles, q.bbox,
-                              pixel_size_deg=None if tiles else system.pixel_size_deg)
+        tiles = [(m, compute_index(q.info, fetch(m.tile_id, "NIR"), fetch(m.tile_id, "Red")))
+                 for m in metas]
+        mosaic = assemble_mosaic(tiles, q.bbox,
+                                 pixel_size_deg=None if tiles else system.pixel_size_deg)
     except Exception as exc:
         return exc
     return mosaic.values.tobytes(), render_pgm(mosaic, q.info)
@@ -669,7 +709,7 @@ def same(got, want):
 class TestPipeline:
     """The per-tile pipeline against the plain loop, on layouts the
     synthetic grid never makes: tiles that newer ones cover in part, and
-    tiles whose bands do not have the planned shape."""
+    tiles of another pixel size than the store's."""
 
     EDGE = 0.25
 
@@ -714,14 +754,31 @@ class TestPipeline:
 
     @pytest.mark.parametrize("size_px", [128, 512])
     def test_band_of_another_shape(self, tmp_path, monkeypatch, size_px):
-        # the oldest tile has another pixel size than the plan's, and a newer
+        # the oldest tile has another pixel size than the store's, and a newer
         # tile is corrupt on every replica: the corruption is raised first
         # (fetch before band math); repaired, the pixel sizes disagree; alone,
-        # the odd tile makes its own mosaic
+        # the odd tile makes its own mosaic. Each way, every band of every
+        # selected tile is read once.
         scenes = [self.scene(c, 0, 2000 + c, seed=c) for c in range(4)]
         scenes.append(self.scene(1, 0, 1000, size_px=size_px, seed=9))
+        fetched = []
+        fetch = TileStore.fetch_band
+
+        def counting(store, tile_id, band, **kwargs):
+            fetched.append((tile_id, band))
+            return fetch(store, tile_id, band, **kwargs)
+
+        def check(q, outcome):
+            want = plain_answer(sys_, q)
+            fetched.clear()
+            got = answer(sys_, q)
+            tiles = [m.tile_id for m in store.catalog_select(q.bbox, q.time)]
+            assert Counter(fetched) == {(t, b): 1 for t in tiles for b in ("NIR", "Red")}
+            assert isinstance(want, outcome) and same(got, want)
+
         with self.open(tmp_path / "store", scenes) as sys_:
             spy = spy_on(sys_, monkeypatch)
+            monkeypatch.setattr(TileStore, "fetch_band", counting)
             store = sys_.store
             q = Query(self.box(0, 4, 0, 1), TimeRange(0, 10_000), "ndvi")
             newest = store.catalog_select(q.bbox, q.time)[-1]
@@ -730,15 +787,11 @@ class TestPipeline:
                 victim = store.root / "nodes" / node / tile_path(newest, "Red")
                 saved[victim] = victim.read_bytes()
                 victim.write_bytes(saved[victim][:-4] + b"\xde\xad\xbe\xef")
-            want = plain_answer(sys_, q)
-            assert isinstance(want, CorruptionError) and same(answer(sys_, q), want)
+            check(q, CorruptionError)
             for victim, blob in saved.items():
                 victim.write_bytes(blob)
-            want = plain_answer(sys_, q)
-            assert isinstance(want, ValidationError) and same(answer(sys_, q), want)
-            lone = Query(self.box(1, 2, 0, 1), TimeRange(0, 1500), "rvi")
-            want = plain_answer(sys_, lone)
-            assert not isinstance(want, Exception) and same(answer(sys_, lone), want)
+            check(q, ValidationError)
+            check(Query(self.box(1, 2, 0, 1), TimeRange(0, 1500), "rvi"), tuple)
             assert spy.futures
 
 

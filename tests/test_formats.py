@@ -11,7 +11,6 @@ from georace.errors import CorruptionError
 from georace.formats import (
     load_scene_npz,
     pack_band,
-    read_band_dims,
     save_scene_npz,
     scene_meta_dict,
     unpack_band,
@@ -65,17 +64,6 @@ class TestBandBlob:
         blob = pack_band(np.ones((3, 3), dtype=np.float32))
         with pytest.raises(CorruptionError):
             unpack_band(mutate(blob))
-
-    def test_read_band_dims(self, tmp_path):
-        path = tmp_path / "b.band"
-        path.write_bytes(pack_band(np.zeros((7, 9), dtype=np.float32)))
-        assert read_band_dims(path) == (7, 9)
-
-    def test_read_band_dims_rejects_garbage(self, tmp_path):
-        path = tmp_path / "b.band"
-        path.write_bytes(b"nope")
-        with pytest.raises(CorruptionError):
-            read_band_dims(path)
 
 
 class TestSceneNpz:

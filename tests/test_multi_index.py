@@ -8,10 +8,7 @@ import pytest
 
 from conftest import make_entries, random_rows
 from georace.errors import IndexBuildError, ValidationError
-from georace.multi_index import (
-    DEFAULT_REPLICAS,
-    build_all,
-)
+from georace.multi_index import build_all
 from georace import multi_index as mi
 
 
@@ -25,7 +22,9 @@ def test_builds_all_three_kinds(entries):
     assert multi.kinds() == ("geohash", "quadtree", "ortholist")
     assert len(multi) == len(entries)
     assert multi.build_wall_seconds > 0
-    assert all(s.build_seconds >= 0 and s.serialized_bytes > 0 for s in multi.build_stats)
+    assert all(
+        idx.build_seconds >= 0 and idx.serialized_size > 0 for idx in multi.indexes.values()
+    )
 
 
 def test_rebuild_is_deterministic(entries):
@@ -60,14 +59,6 @@ def test_snapshot_stamp_tracks_content(entries):
     assert build_all(list(entries), executor="process").snapshot == stamp
     other = make_entries(random_rows(150, seed=62))
     assert build_all(other, executor="serial").snapshot != stamp
-
-
-def test_replica_assignment_covers_all_kinds(entries):
-    multi = build_all(entries, executor="serial", replicas=("n0", "n1", "n2"))
-    assert sorted(multi.replica_assignment) == ["geohash", "ortholist", "quadtree"]
-    assert sorted(multi.replica_assignment.values()) == ["n0", "n1", "n2"]
-    with pytest.raises(ValidationError):
-        build_all(entries, replicas=("n0", "n0", "n1"))
 
 
 # geohash work goes through _bucket_chunk on both executors (on the process
@@ -153,11 +144,6 @@ def test_geohash_chunk_claims_under_contention(entries, monkeypatch):
     serial = build_all(entries, executor="serial").to_bytes()
     for _ in range(5):
         assert build_all(entries, executor="process").to_bytes() == serial
-
-
-def test_default_replicas_are_three_nodes():
-    assert len(DEFAULT_REPLICAS) == 3
-    assert len(set(DEFAULT_REPLICAS)) == 3
 
 
 def test_executor_validation(entries):

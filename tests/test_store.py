@@ -18,14 +18,11 @@ from georace.errors import (
     ValidationError,
 )
 from georace.geo import BoundingBox, TimeRange
-from georace.indexes import IndexConfig
 from georace.store import (
     DEFAULT_BAND_LABELS,
     RasterScene,
     TileStore,
     band_buffer,
-    compute_index_keys,
-    quadtree_path,
     tile_dir,
     tile_path,
 )
@@ -95,9 +92,20 @@ class TestIngest:
         row = (store.root / "catalog.ndjson").read_text().strip()
         assert list(json.loads(row)) == [
             "tile_id", "min_lon", "max_lon", "min_lat", "max_lat", "capture_time",
-            "satellite", "bands", "geohash", "quadtree_path", "grid_row", "grid_col",
-            "checksums",
+            "satellite", "bands", "rows", "cols", "checksums",
         ]
+
+    def test_catalog_row_records_band_shape(self, store):
+        rng = np.random.default_rng(4)
+        scene = RasterScene(
+            bbox=BoundingBox(10.0, 10.9, 20.0, 20.6), capture_time=1000, satellite="landsat8",
+            bands=tuple((label, rng.random((6, 9)).astype(np.float32)) for label in ("NIR", "Red")),
+        )
+        tile_id = store.ingest(scene)
+        row = json.loads((store.root / "catalog.ndjson").read_text())
+        assert (row["rows"], row["cols"]) == (6, 9)
+        for st in (store, TileStore.open(store.root)):
+            assert st.metadata(tile_id).shape == (6, 9)
 
     def test_duplicate_rejected(self, store):
         store.ingest(scene_at(10.0, 20.0, 1000))
@@ -156,31 +164,6 @@ class TestLayout:
         t_new_year = 1_609_459_199  # 2020-12-31T23:59:59Z
         tile_id = store.ingest(scene_at(10.0, 20.0, t_new_year))
         assert "/2020/" in tile_dir(store.metadata(tile_id))
-
-
-class TestIndexKeys:
-    def test_quadtree_path_of_world_is_empty(self):
-        assert quadtree_path(BoundingBox(-180, 180, -90, 90), 12) == ""
-
-    def test_quadtree_path_quadrants(self):
-        assert quadtree_path(BoundingBox(-100, -99, 40, 41), 1) == "NW"
-        assert quadtree_path(BoundingBox(100, 101, 40, 41), 1) == "NE"
-        assert quadtree_path(BoundingBox(-100, -99, -41, -40), 1) == "SW"
-        assert quadtree_path(BoundingBox(100, 101, -41, -40), 1) == "SE"
-
-    def test_quadtree_path_descends(self):
-        path = quadtree_path(BoundingBox(1.0, 1.25, 1.0, 1.25), 12)
-        assert path.startswith("NE")
-        assert len(path) % 2 == 0 and len(path) >= 4
-
-    def test_keys_recomputable_from_bbox(self, store):
-        tile_id = store.ingest(scene_at(100.1, 20.1, 1000, edge=0.25))
-        meta = store.metadata(tile_id)
-        assert meta.index_keys == compute_index_keys(meta.bbox, IndexConfig())
-
-    def test_grid_row_zero_at_north_edge(self):
-        keys = compute_index_keys(BoundingBox(0.0, 1.0, 89.9, 90.0), IndexConfig())
-        assert keys.grid_row == 0
 
 
 class TestFetch:
@@ -313,10 +296,6 @@ class TestFetch:
         blob = (store.root / "nodes" / node / tile_path(meta, "Red")).read_bytes()
         assert hashlib.sha256(blob).hexdigest() == meta.checksums["Red"]
 
-    def test_band_dims_via_header(self, store):
-        tile_id = store.ingest(scene_at(10.0, 20.0, 1000, size=12))
-        assert store.band_dims(tile_id) == (12, 12)
-
     def test_external_down_marker_respected(self, store):
         tile_id = store.ingest(scene_at(10.0, 20.0, 1000))
         first = store.placement(tile_id)[0]
@@ -372,10 +351,28 @@ class TestIntegrityOnOpen:
         transform(doc)
         catalog.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
 
-    def test_tampered_index_key_detected(self, store):
+    def test_tampered_shape_detected(self, store):
+        tile_id = store.ingest(scene_at(10.0, 20.0, 1000))
+        self._tamper(store, lambda d: d.update(rows=d["rows"] + 1))
+        reopened = TileStore.open(store.root)  # reads no band file
+        assert reopened.metadata(tile_id).shape == (9, 8)
+        for label in ("NIR", "Red"):
+            with pytest.raises(CorruptionError, match="8 x 8 pixels, the catalog says 9 x 8"):
+                reopened.fetch_band(tile_id, label)
+
+    @pytest.mark.parametrize("value", [0, -8, True, 8.0, "8", None])
+    def test_shape_must_be_positive_ints(self, store, value):
         store.ingest(scene_at(10.0, 20.0, 1000))
-        self._tamper(store, lambda d: d.update(grid_row=d["grid_row"] + 1))
-        with pytest.raises(CorruptionError, match="index keys"):
+        self._tamper(store, lambda d: d.update(cols=value))
+        with pytest.raises(CorruptionError, match="cols must be a positive int"):
+            TileStore.open(store.root)
+
+    def test_row_of_the_old_format_refused(self, store):
+        # rows written before the band shape was recorded held four index keys
+        store.ingest(scene_at(10.0, 20.0, 1000))
+        old = {"geohash": "s0000", "quadtree_path": "NE", "grid_row": 0, "grid_col": 0}
+        self._tamper(store, lambda d: (d.pop("rows"), d.pop("cols"), d.update(old)))
+        with pytest.raises(CorruptionError, match=r"missing keys \['rows', 'cols'\]"):
             TileStore.open(store.root)
 
     def test_tampered_tile_id_detected(self, store):
