@@ -11,13 +11,11 @@ a query-shaped, north-up grid.
 
 from .bandmath import InfoKind, Mosaic, assemble_mosaic, compute_index
 from .engine import (
-    BatchResult,
     Query,
     QueryResult,
     StageTimings,
     System,
     SystemConfig,
-    batch_execute,
     execute_query,
 )
 from .errors import (
@@ -43,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandGrid",
-    "BatchResult",
     "BoundingBox",
     "CorruptionError",
     "DuplicateTileError",
@@ -77,7 +74,6 @@ __all__ = [
     "ValidationError",
     "WorkloadSpec",
     "assemble_mosaic",
-    "batch_execute",
     "build_all",
     "build_index",
     "compute_index",

@@ -128,9 +128,12 @@ def bench_query_scaling(
     indexes and the brute-force scan each get a one-worker runner — and
     batches go through the runners' bulk path, so the comparison isolates
     the index method itself rather than per-query wake-up costs (which on a
-    small host are large, noisy, and identical across methods). Per count,
-    the batch is the first N queries of one fixed seeded workload, so
-    counts nest."""
+    small host are large, noisy, and identical across methods). The multi
+    method's runner has one worker per kind, and they share each batch
+    through one cursor: every worker claims the next unanswered query, so
+    the batch spreads over the CPUs and the faster kinds answer more of it.
+    Per count, the batch is the first N queries of one fixed seeded
+    workload, so counts nest."""
     counts = list(query_counts) if query_counts else list(DEFAULT_COUNTS)
     if any(c < 1 for c in counts) or counts != sorted(counts):
         raise ValidationError("query counts must be positive and increasing")

@@ -290,22 +290,3 @@ def _build(system: System, q: Query, metas: list, live: frozenset):
     mosaic = Mosaic._adopt(q.bbox, canvas, layout.pixel_size_deg, layout.provenance)
     return mosaic, memoryview(pgm).toreadonly(), t_plan
 
-
-@dataclass
-class BatchResult:
-    results: list[QueryResult | None]
-    errors: dict[int, str]
-    elapsed_seconds: float
-
-
-def batch_execute(system: System, queries: list[Query]) -> BatchResult:
-    """Run queries one after another, collecting per-query errors."""
-    results: list[QueryResult | None] = [None] * len(queries)
-    errors: dict[int, str] = {}
-    started = time.perf_counter()
-    for i, q in enumerate(queries):
-        try:
-            results[i] = execute_query(system, q)
-        except Exception as exc:
-            errors[i] = f"{type(exc).__name__}: {exc}"
-    return BatchResult(results, errors, time.perf_counter() - started)

@@ -17,6 +17,10 @@ Python loop over its candidates. The linear scan makes the same closed
 comparisons in its own loop over the rows themselves, with no candidate list
 and no lookup by row number; it is still a plain pass over every entry.
 
+An index answers queries and nothing more: it keeps no model of what a
+query will cost it. The racer (racing.py) does not ask which kind will win;
+it tries the kinds in a fixed order and takes the first answer.
+
 Cancellation: query() takes an optional should_cancel callable, polled
 periodically; a True return aborts the traversal by raising QueryCancelled.
 """
@@ -38,23 +42,6 @@ from .geo import LAT_MAX, LON_MIN, BoundingBox, TimeRange
 Row = tuple[str, float, float, float, float, int, int]
 
 _CANCEL_STRIDE = 64  # traversal steps between cancellation polls
-
-# estimate_cost() coefficients, in approximate microseconds per query,
-# calibrated per kind by least squares against measured traversal times on
-# seeded reference workloads (9k- and 27k-tile corpora, r² ≈ 0.9). All four
-# models share one measurement protocol, so their outputs are commensurate;
-# the racer uses them only to rank dispatch order.
-_GH_FIXED = 6.3  # geohash: setup + result-set allocation
-_GH_PER_CELL = 0.0035  # one cell-code build + dict probe
-_GH_PER_ROW = 0.057  # one candidate row through the exact filter
-_QT_FIXED = 1.8  # quadtree: stack setup
-_QT_PER_NODE = 0.12  # one node pop + overlap test
-_QT_PER_ROW = 0.057  # one candidate row through the exact filter
-_OL_FIXED = 6.3  # ortho grid: setup
-_OL_PER_STEP = 0.06  # one row-chain link step
-_OL_PER_ROW = 0.042  # one candidate row (bucket tuples batch into the set)
-_LS_FIXED = 11.0  # linear scan: setup
-_LS_PER_ROW = 0.08  # one row of the unindexed pass
 
 
 class QueryCancelled(Exception):
@@ -191,10 +178,6 @@ class RangeIndex:
     def query(self, box: BoundingBox, trange: TimeRange, should_cancel=None) -> set[str]:
         raise NotImplementedError  # pragma: no cover - abstract
 
-    def estimate_cost(self, box: BoundingBox, trange: TimeRange) -> float:
-        """Predicted relative query cost; used only to order dispatch."""
-        raise NotImplementedError  # pragma: no cover - abstract
-
     def _filter(self, candidates, box: BoundingBox, trange: TimeRange, should_cancel=None) -> set[str]:
         qlo_x, qhi_x = box.min_lon, box.max_lon
         qlo_y, qhi_y = box.min_lat, box.max_lat
@@ -226,10 +209,6 @@ class GeoHashIndex(RangeIndex):
         super().__init__(rows)
         self.precision = precision
         self._cells: dict[str, tuple[int, ...]] = {}
-        self._avg_bucket = 0.0
-        self._cell_w, self._cell_h = geohash.cell_size(precision)
-        self._est_cell_coef = _GH_PER_CELL
-        self._est_scan = _LS_FIXED
 
     @classmethod
     def build(cls, rows: list[Row], config: IndexConfig) -> "GeoHashIndex":
@@ -271,10 +250,6 @@ class GeoHashIndex(RangeIndex):
                 for code, ids in part.items():
                     buckets.setdefault(code, []).extend(ids)
             idx._cells = {code: tuple(sorted(buckets[code])) for code in sorted(buckets)}
-        total = sum(len(v) for v in idx._cells.values())
-        idx._avg_bucket = total / len(idx._cells) if idx._cells else 0.0
-        idx._est_cell_coef = _GH_PER_CELL + _GH_PER_ROW * idx._avg_bucket
-        idx._est_scan = _LS_FIXED + _LS_PER_ROW * len(rows)
         return idx
 
     def query(self, box: BoundingBox, trange: TimeRange, should_cancel=None) -> set[str]:
@@ -297,27 +272,6 @@ class GeoHashIndex(RangeIndex):
                 if bucket:
                     candidates.update(bucket)
         return self._filter(candidates, box, trange, should_cancel)
-
-    def estimate_cost(self, box: BoundingBox, trange: TimeRange) -> float:
-        # cells this box actually touches (alignment matters: the same box
-        # size can land on 2 or 3 cell columns, and the probe cost follows);
-        # kept as inline arithmetic because dispatch calls this per query
-        n_cells = (
-            math.floor((box.max_lon + 180.0) / self._cell_w)
-            - math.floor((box.min_lon + 180.0) / self._cell_w)
-            + 1
-        ) * (
-            math.floor((box.max_lat + 90.0) / self._cell_h)
-            - math.floor((box.min_lat + 90.0) / self._cell_h)
-            + 1
-        )
-        probe = _GH_FIXED + n_cells * self._est_cell_coef
-        # query() falls back to a full scan when the box touches more cells
-        # than the index holds, so the cost is capped by the scan cost
-        return probe if probe < self._est_scan else self._est_scan
-
-    def cells(self) -> dict[str, tuple[int, ...]]:
-        return dict(self._cells)
 
     def _serialize(self) -> bytes:
         out = bytearray(b"GXGH")
@@ -386,68 +340,13 @@ class QuadTreeIndex(RangeIndex):
         self.leaf_capacity = leaf_capacity
         self.max_depth = max_depth
         self.root = _QuadNode(-180.0, 180.0, -90.0, 90.0)
-        self._n_nodes = 1
-        # estimate_cost polynomial (derived from per-depth occupancy at the
-        # end of build): cost = k0 + k1*qw + k2*qh + k3*qw*qh, capped
-        self._est_k = (float(_QT_FIXED), 0.0, 0.0, 0.0)
-        self._est_cap = float(_QT_FIXED)
 
     @classmethod
     def build(cls, rows: list[Row], config: IndexConfig) -> "QuadTreeIndex":
         idx = cls(rows, config.quad_leaf_capacity, config.quad_max_depth)
         for i, (_, lo_x, hi_x, lo_y, hi_y, _, _) in enumerate(rows):
             idx._insert(i, lo_x, hi_x, lo_y, hi_y)
-        idx._fit_estimate()
         return idx
-
-    def _fit_estimate(self) -> None:
-        """Reduce the tree's shape to an expected-cost polynomial.
-
-        Nodes at one depth share an extent (w_d, h_d), so the chance a query
-        box (qw, qh) overlaps one has the closed Minkowski form
-        (w_d + qw)(h_d + qh) / extent_area; summing node counts and held rows
-        per depth, weighted by that chance, gives expected visits and
-        candidate rows as a polynomial in qw, qh. Depths whose nodes cover
-        the whole data extent are always hit and fold into the constant.
-        """
-        if not self._rows:
-            return
-        ext_w = max(r[2] for r in self._rows) - min(r[1] for r in self._rows)
-        ext_h = max(r[4] for r in self._rows) - min(r[3] for r in self._rows)
-        area = max(ext_w * ext_h, 1e-9)
-        per_depth: dict[int, list[int]] = {}
-        stack = [(self.root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            bucket = per_depth.setdefault(depth, [0, 0])
-            bucket[0] += 1
-            bucket[1] += len(node.row_ids)
-            if node.children is not None:
-                stack.extend((child, depth + 1) for child in node.children)
-        k0 = _QT_FIXED
-        k1 = k2 = k3 = 0.0
-        for depth, (n_nodes, n_rows) in per_depth.items():
-            w = min(360.0 / (1 << depth), ext_w)
-            h = min(180.0 / (1 << depth), ext_h)
-            weight = n_nodes * _QT_PER_NODE + n_rows * _QT_PER_ROW
-            if w * h >= area:  # covers the extent: every query touches it
-                k0 += weight
-            else:
-                k0 += weight * w * h / area
-                k1 += weight * h / area
-                k2 += weight * w / area
-                k3 += weight / area
-        self._est_k = (k0, k1, k2, k3)
-        self._est_cap = (
-            _QT_FIXED + self._n_nodes * _QT_PER_NODE + len(self._rows) * _QT_PER_ROW
-        )
-
-    def estimate_cost(self, box: BoundingBox, trange: TimeRange) -> float:
-        k0, k1, k2, k3 = self._est_k
-        qw = box.max_lon - box.min_lon
-        qh = box.max_lat - box.min_lat
-        cost = k0 + k1 * qw + k2 * qh + k3 * qw * qh
-        return cost if cost < self._est_cap else self._est_cap
 
     def _insert(self, row_id: int, lo_x: float, hi_x: float, lo_y: float, hi_y: float) -> None:
         node = self.root
@@ -468,7 +367,6 @@ class QuadTreeIndex(RangeIndex):
 
     def _split(self, node: _QuadNode) -> None:
         node.split()
-        self._n_nodes += 4
         rows = self._rows
         keep: list[int] = []
         for row_id in node.row_ids:
@@ -499,9 +397,6 @@ class QuadTreeIndex(RangeIndex):
             if node.children is not None:
                 stack.extend(node.children)
         return self._filter(candidates, box, trange, should_cancel)
-
-    def node_count(self) -> int:
-        return self._n_nodes
 
     def _serialize(self) -> bytes:
         out = bytearray(b"GXQT")
@@ -545,10 +440,6 @@ class OrthoGridIndex(RangeIndex):
         self.n_rows = math.ceil(180.0 / cell_deg)
         self._row_heads: dict[int, _GridNode] = {}
         self._nodes: list[_GridNode] = []
-        self._avg_bucket = 0.0
-        self._est_row_coef = _OL_PER_ROW
-        self._est_west = LON_MIN
-        self._est_step_per_deg = 0.0  # chain links walked per degree of lon
 
     def _cols_for(self, lo_x: float, hi_x: float) -> range:
         return _grid_touch_range(lo_x, hi_x, LON_MIN, self.cell_deg, self.n_cols, flip=False)
@@ -566,14 +457,6 @@ class OrthoGridIndex(RangeIndex):
                 for c in cols:
                     buckets[r, c].append(i)
         idx._link(buckets)
-        total = sum(len(v) for v in buckets.values())
-        idx._avg_bucket = total / len(buckets) if buckets else 0.0
-        idx._est_row_coef = _OL_PER_ROW * idx._avg_bucket
-        if rows:
-            idx._est_west = min(r[1] for r in rows)
-            ext_w = max(r[2] for r in rows) - idx._est_west
-            links_per_row = len(idx._nodes) / max(len(idx._row_heads), 1)
-            idx._est_step_per_deg = links_per_row / max(ext_w, 1e-9)
         return idx
 
     def _link(self, buckets: dict[tuple[int, int], list[int]]) -> None:
@@ -605,31 +488,6 @@ class OrthoGridIndex(RangeIndex):
                     candidates.update(node.row_ids)
                 node = node.right
         return self._filter(candidates, box, trange, should_cancel)
-
-    def estimate_cost(self, box: BoundingBox, trange: TimeRange) -> float:
-        # each query row is walked from its chain head, so the step count
-        # grows with how far east the box reaches into the data, while the
-        # candidate count follows the touched cells; inline for dispatch
-        # speed
-        cell = self.cell_deg
-        n_rows = (
-            math.floor((90.0 - box.min_lat) / cell)
-            - math.floor((90.0 - box.max_lat) / cell)
-            + 1
-        )
-        n_cols = (
-            math.floor((box.max_lon + 180.0) / cell)
-            - math.floor((box.min_lon + 180.0) / cell)
-            + 1
-        )
-        reach = box.max_lon - self._est_west
-        if reach < 0.0:
-            reach = 0.0
-        steps = n_rows * reach * self._est_step_per_deg
-        return _OL_FIXED + steps * _OL_PER_STEP + n_rows * n_cols * self._est_row_coef
-
-    def node_count(self) -> int:
-        return len(self._nodes)
 
     def _serialize(self) -> bytes:
         out = bytearray(b"GXOL")
@@ -672,9 +530,6 @@ class LinearScanIndex(RangeIndex):
                 ):
                     hits.add(tile_id)
         return hits
-
-    def estimate_cost(self, box: BoundingBox, trange: TimeRange) -> float:
-        return _LS_FIXED + _LS_PER_ROW * len(self._rows)
 
     def _serialize(self) -> bytes:
         return b"GXLS" + struct.pack("<H", 1) + _pack_entries(self._rows)

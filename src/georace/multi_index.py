@@ -9,10 +9,11 @@ and buckets: the forked children from the start, the calling process once
 its whole builds are done. The calling process then assembles the GeoHash
 index from all the buckets. The chunks keep the processes busy until the
 last one is claimed, so the build takes about half the total work on two
-CPUs, however that work divides between the kinds. On a single-CPU host
-everything runs in the calling process, as with executor="serial" (a forked
-child would only add fork and pickling overhead to the same sequential
-schedule).
+CPUs, however that work divides between the kinds. CPUs are the ones this
+process may run on (its affinity mask), not those the host has. When that is
+one, everything runs in the calling process, as with executor="serial" (a
+forked child would only add fork and pickling overhead to the same
+sequential schedule).
 
 The snapshot reaches the children through fork: each inherits the validated
 rows copy-on-write, so nothing is pickled on the way in. A child sends back
@@ -67,9 +68,6 @@ class MultiIndex:
 
     def __len__(self) -> int:
         return len(next(iter(self.indexes.values())))
-
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(self.indexes)
 
     def to_bytes(self) -> bytes:
         """Container blob: per-kind length-prefixed serializations."""
@@ -135,7 +133,7 @@ def _bucket_claimed(rows: list[Row], config: IndexConfig, counter) -> dict[str, 
 def _assemble_geohash(rows: list[Row], config: IndexConfig, parts) -> GeoHashIndex:
     """The GeoHash index from every process's buckets, checked against the rows."""
     index = GeoHashIndex.from_buckets(rows, config.geohash_precision, parts)
-    registered = set().union(*index.cells().values())
+    registered = set().union(*index._cells.values())
     # every valid box touches at least one cell, so each row of the snapshot
     # is registered somewhere; a part bucketed from other rows breaks this
     if registered != set(range(len(rows))):
@@ -200,7 +198,7 @@ def build_all(
     config = config or IndexConfig()
     rows = _rows_from_entries(entries)  # validates + duplicate check once
 
-    cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0))
     use_processes = executor == "process" or (
         executor == "auto" and cpus >= 2 and max_workers >= 2
     )

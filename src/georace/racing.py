@@ -3,23 +3,32 @@
 One persistent worker per index kind runs range queries on its own copy of
 the index; the runner dispatches a query to the workers and takes the first
 reply. Both backends share one mechanism: each worker reads requests from
-one pipe and writes replies to another, polls one shared watermark, and runs
-the same loop; RaceConfig.backend only picks whether a forked process (the
+one pipe and writes replies to another, polls one shared watermark, claims
+bulk queries from one shared cursor, and runs the same loop; RaceConfig.backend only picks whether a forked process (the
 default) or a thread runs it. A forked worker inherits its index through
 fork, so nothing is pickled on the way in.
 
-Dispatch is tiered: workers are ordered by each index's own cost estimate
-for the query, the predicted-fastest is dispatched immediately, the rest
-after hedge_delay. With hedge_delay = 0 all workers dispatch at once. On a
-single-CPU host simultaneous dispatch makes the kernel run a losing worker
-first often enough to double the mean race latency, which is why the hedged
-schedule is the default; any worker can still win, and a stalled primary is
-overtaken after one hedge_delay.
+A race is a hedged request (Dean & Barroso, "The Tail at Scale", CACM 2013)
+in a fixed order: QuadTree, OrthoList, GeoHash (_PRIORITY). The first live
+kind in that order is dispatched at once, the rest after hedge_delay. No
+kind predicts its cost: the primary almost always answers before the hedge
+fires, and a primary that is not the fastest kind costs a few microseconds.
+With hedge_delay = 0 all workers dispatch at once. On a single-CPU host
+simultaneous dispatch makes the kernel run a losing worker first often
+enough to double the mean race latency, which is why the hedged schedule is
+the default; any worker can still win, and a stalled primary is overtaken
+after one hedge_delay.
+
+The bulk path (run_batch) sends the whole batch to every live worker, and
+the workers share it through one cursor in shared memory: each claims the
+next unanswered query until none is left, so a faster kind simply claims
+more of them (self-balancing work sharing, as in Blumofe & Leiserson,
+"Scheduling multithreaded computations by work stealing", JACM 1999).
 
 Cancellation is cooperative: the runner bumps a shared watermark after a
 query settles, and workers poll it between index-node visits (queries carry
 monotonically increasing ids; an id at or below the watermark is dead).
-Late replies for settled queries are discarded by id.
+Late replies for settled queries and abandoned batches are discarded by id.
 
 Worker failure is simulated at dispatch: a failed kind receives no queries
 until restored. Delay injection happens inside the worker (a cancellable
@@ -42,7 +51,8 @@ from .indexes import IndexKind, QueryCancelled, RangeIndex
 
 CANCELLED = "cancelled"
 
-# deterministic tie-break when replies arrive in the same wait wake-up
+# race dispatch order, and the tie-break when replies arrive in the same
+# wait wake-up
 _PRIORITY = {
     IndexKind.QUADTREE.value: 0,
     IndexKind.ORTHOLIST.value: 1,
@@ -116,12 +126,27 @@ def _run_query(index: RangeIndex, payload, watermark, delay_s: float):
     return ("ok", qid, tuple(result), time.perf_counter() - started)
 
 
-def _run_batch(index: RangeIndex, payloads, watermark, delay_s: float):
-    """Worker-side bulk execution: one reply item per payload, in order."""
-    return tuple(_run_query(index, p, watermark, delay_s) for p in payloads)
+def _run_batch(index: RangeIndex, base: int, items, cursor, watermark, delay_s: float):
+    """Worker-side bulk execution: claim the batch's queries from the shared
+    cursor one at a time, until none is left, and answer each claimed one.
+
+    items[j] is query base + j. The runner points the cursor at base before
+    it sends the batch and never moves it down, so a worker still on an
+    abandoned batch finds the cursor past that batch's end and stops at once.
+    """
+    lock, claimed = cursor.get_lock(), cursor.get_obj()
+    end = base + len(items)
+    out = []
+    while True:
+        with lock:
+            qid = claimed.value
+            if not base <= qid < end or watermark.value >= qid:
+                return tuple(out)
+            claimed.value = qid + 1
+        out.append(_run_query(index, (qid, *items[qid - base]), watermark, delay_s))
 
 
-def _worker_loop(index: RangeIndex, requests, replies, watermark, inherited) -> None:
+def _worker_loop(index: RangeIndex, requests, replies, cursor, watermark, inherited) -> None:
     """One worker's loop, run by a process or a thread: answer each request
     on the reply pipe until "stop" or until the request pipe closes.
 
@@ -140,7 +165,8 @@ def _worker_loop(index: RangeIndex, requests, replies, watermark, inherited) -> 
             if tag == "delay":
                 delay_s = msg[1]
             elif tag == "batch":
-                replies.send(("batch", 0, _run_batch(index, msg[1], watermark, delay_s), 0.0))
+                answers = _run_batch(index, msg[1], msg[2], cursor, watermark, delay_s)
+                replies.send(("batch", msg[1], answers, 0.0))
             else:
                 replies.send(_run_query(index, msg[1], watermark, delay_s))
     except (EOFError, OSError):
@@ -177,7 +203,6 @@ class RaceRunner:
         for kind in self.ensemble:
             if kind not in indexes:
                 raise ValidationError(f"ensemble kind {kind!r} has no index")
-        self._indexes = dict(indexes)
         self._qid = 0
         self._lock = threading.Lock()
         self.stats = RaceStats()
@@ -187,7 +212,8 @@ class RaceRunner:
         forked = self.config.backend == "process"
         run = ctx.Process if forked else threading.Thread
         self._watermark = ctx.Value("q", 0, lock=False)
-        for kind, index in self._indexes.items():
+        self._cursor = ctx.Value("q", 0)  # next query of the batch to claim
+        for kind, index in indexes.items():
             req_recv, req_send = ctx.Pipe(duplex=False)
             reply_recv, reply_send = ctx.Pipe(duplex=False)
             inherited = ()
@@ -196,7 +222,7 @@ class RaceRunner:
                 inherited += (req_send, reply_recv)
             handle = run(
                 target=_worker_loop,
-                args=(index, req_recv, reply_send, self._watermark, inherited),
+                args=(index, req_recv, reply_send, self._cursor, self._watermark, inherited),
                 daemon=True,
             )
             handle.start()
@@ -264,8 +290,7 @@ class RaceRunner:
         qid = self._qid
         payload = (qid, box.as_tuple(), trange.start, trange.end)
 
-        # predicted cost orders the dispatch tiers
-        order = self._dispatch_order(alive, box, trange)
+        order = sorted(alive, key=lambda k: _PRIORITY.get(k, 99))
         hedge = 0.0 if (verification or len(order) == 1) else self.config.hedge_delay
 
         t_start = time.perf_counter()
@@ -367,15 +392,18 @@ class RaceRunner:
         kinds: tuple[str, ...] | None = None,
         deadline: float | None = None,
     ) -> list["RaceOutcome"]:
-        """Route each query to its predicted-cheapest index, in bulk.
-
-        The batch is partitioned by per-query cost estimate and every live
-        worker receives its share in a single message, so worker round trips
-        amortize over the batch instead of costing one wake-up per query.
-        There is no per-query hedging here — that is the query() path — but
-        the failover property holds: a worker that dies mid-batch forfeits
-        its share and those queries are re-routed to the survivors. Results
+        """Answer every (box, trange) of queries once, in bulk; results
         return in query order.
+
+        Every live worker receives the whole batch in one message, and the
+        workers claim its queries one at a time from the shared cursor, so
+        each query runs on one kind and the faster kinds answer more of
+        them. There is no racing or hedging per query; that is the query()
+        path. Failover holds: the queries a dead worker claimed but did not
+        answer run again on the survivors in a new round, and a kind that
+        returns an error is left out of the batch's later rounds, so the
+        query is retried on another kind. A query that no live kind could
+        answer raises QueryTimeoutError.
         """
         with self._lock:
             return self._run_batch_locked(list(queries), kinds, deadline)
@@ -393,8 +421,8 @@ class RaceRunner:
         t_deadline = time.perf_counter() + deadline
         outcomes: list[RaceOutcome | None] = [None] * len(queries)
         todo = list(range(len(queries)))
-        attempted: dict[int, set[str]] = {}
         errors: dict[str, str] = {}
+        left_out: set[str] = set()  # kinds that returned an error in this batch
 
         while todo:
             alive = [
@@ -403,52 +431,30 @@ class RaceRunner:
             ]
             if not alive:
                 raise QueryTimeoutError(f"no live index workers for this batch ({errors})")
+            alive = [k for k in alive if k not in left_out]
+            if not alive:
+                raise QueryTimeoutError(
+                    f"batch query {todo[0]} failed on every live kind ({errors})"
+                )
 
-            shares: dict[str, list[int]] = {k: [] for k in alive}
-            if len(alive) == 1:
-                only = alive[0]
-                for i in todo:
-                    if only in attempted.get(i, ()):
-                        raise QueryTimeoutError(
-                            f"batch query {i} failed on every live kind ({errors})"
-                        )
-                shares[only] = todo
-            else:
-                indexes = self._indexes
-                for i in todo:
-                    box, trange = queries[i]
-                    tried = attempted.get(i, ())
-                    candidates = [k for k in alive if k not in tried]
-                    if not candidates:
-                        raise QueryTimeoutError(
-                            f"batch query {i} failed on every live kind ({errors})"
-                        )
-                    best = min(
-                        candidates,
-                        key=lambda k: (
-                            indexes[k].estimate_cost(box, trange),
-                            _PRIORITY.get(k, 99),
-                        ),
-                    )
-                    shares[best].append(i)
-
-            pending: dict[str, tuple[list[int], tuple[int, ...]]] = {}
-            for kind, members in shares.items():
-                if not members:
-                    continue
-                payloads = []
-                for i in members:
-                    self._qid += 1
-                    box, trange = queries[i]
-                    payloads.append((self._qid, box.as_tuple(), trange.start, trange.end))
-                    attempted.setdefault(i, set()).add(kind)
+            # this round's queries take the next len(todo) ids, from base up
+            base = self._qid + 1
+            self._qid += len(todo)
+            items = tuple(
+                (queries[i][0].as_tuple(), queries[i][1].start, queries[i][1].end)
+                for i in todo
+            )
+            with self._cursor.get_lock():
+                self._cursor.value = base
+            pending: set[str] = set()
+            for kind in alive:
                 try:
-                    self._workers[kind].requests.send(("batch", tuple(payloads)))
+                    self._workers[kind].requests.send(("batch", base, items))
                 except (OSError, ValueError) as exc:
                     self._workers[kind].dead = True
                     errors[kind] = f"dispatch failed: {exc}"
-                    continue  # members stay in todo and re-route next round
-                pending[kind] = (members, tuple(p[0] for p in payloads))
+                    continue
+                pending.add(kind)
 
             while pending:
                 now = time.perf_counter()
@@ -457,18 +463,15 @@ class RaceRunner:
                     raise QueryTimeoutError(
                         f"batch exceeded deadline of {deadline:.3f}s"
                     )
-                for kind, status, _qid, payload, _compute in self._drain(t_deadline - now):
+                for kind, status, r_base, answers, _ in self._drain(t_deadline - now):
                     if status == "dead":
-                        pending.pop(kind, None)
-                        errors[kind] = str(payload)
-                    elif status == "batch":
-                        members, expect_qids = pending.get(kind, ([], ()))
-                        if tuple(item[1] for item in payload) != expect_qids:
-                            continue  # reply to an abandoned earlier batch
-                        pending.pop(kind)
-                        for i, (q_status, _q, tiles, compute_s) in zip(members, payload):
+                        pending.discard(kind)
+                        errors[kind] = str(answers)
+                    elif status == "batch" and r_base == base:
+                        pending.discard(kind)
+                        for q_status, qid, tiles, compute_s in answers:
                             if q_status == "ok":
-                                outcomes[i] = RaceOutcome(
+                                outcomes[todo[qid - base]] = RaceOutcome(
                                     result=frozenset(tiles),
                                     winner=kind,
                                     latency_by_kind={kind: compute_s},
@@ -476,26 +479,15 @@ class RaceRunner:
                                 self.stats.queries += 1
                                 self.stats.winner_counts[kind] += 1
                                 self.stats.latency_sum += compute_s
-                            else:  # error (or a defensive cancel): retry elsewhere
+                            elif q_status == "error":
                                 errors[kind] = str(tiles)
-                    # per-query replies for settled races are stale; ignore
+                                left_out.add(kind)
+                    # other replies belong to settled races or abandoned batches
 
             todo = [i for i in todo if outcomes[i] is None]
 
         self._settle(self._qid)
         return outcomes  # type: ignore[return-value]
-
-    def _dispatch_order(self, alive: list[str], box, trange) -> list[str]:
-        """Alive kinds sorted by predicted cost, cheapest first."""
-        if len(alive) == 1:
-            return list(alive)
-        return sorted(
-            alive,
-            key=lambda k: (
-                self._indexes[k].estimate_cost(box, trange),
-                _PRIORITY.get(k, 99),
-            ),
-        )
 
     def _settle(self, qid: int) -> None:
         self._watermark.value = qid

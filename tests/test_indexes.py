@@ -142,22 +142,38 @@ class TestOracleEquivalence:
             assert idx.query(BoundingBox(*box), TimeRange(*trange)) == expected
 
 
+def _quad_levels(root):
+    """Node count per depth of a quadtree, root first."""
+    levels, level = [], [root]
+    while level:
+        levels.append(len(level))
+        level = [child for node in level for child in (node.children or ())]
+    return levels
+
+
 class TestQuadTreeStructure:
     def test_overflow_splits(self):
         rows = [(f"t{i}", 1.0 + i * 0.01, 1.01 + i * 0.01, 1.0, 1.01, 0, 0) for i in range(9)]
         idx = build_from_rows("quadtree", rows, quad_leaf_capacity=8)
-        assert idx.node_count() > 1
+        assert idx.root.children is not None
+        assert len(idx.root.children) == 4
 
     def test_under_capacity_stays_single_node(self):
         rows = [(f"t{i}", 1.0 + i, 1.5 + i, 1.0, 1.5, 0, 0) for i in range(8)]
         idx = build_from_rows("quadtree", rows, quad_leaf_capacity=8)
-        assert idx.node_count() == 1
+        assert idx.root.children is None
+        assert len(idx.root.row_ids) == 8
 
     def test_identical_footprints_bounded_by_max_depth(self):
         rows = [(f"t{i}", 5.0, 5.1, 5.0, 5.1, 0, 0) for i in range(40)]
-        idx = build_from_rows("quadtree", rows, quad_leaf_capacity=8, quad_max_depth=12)
-        # one path of splits at most: the root plus 4 children per level
-        assert idx.node_count() <= 1 + 4 * 12
+        idx = build_from_rows("quadtree", rows, quad_leaf_capacity=8, quad_max_depth=3)
+        # one path of splits (no split line crosses the footprint down to
+        # depth 3), stopped at max depth with every row in one overfull leaf
+        assert _quad_levels(idx.root) == [1, 4, 4, 4]
+        node = idx.root
+        while node.children is not None:
+            node = next(child for child in node.children if child.children or child.row_ids)
+        assert len(node.row_ids) == 40
         assert idx.query(BoundingBox(5.0, 5.1, 5.0, 5.1), TimeRange(0, 0)) == {
             f"t{i}" for i in range(40)
         }
@@ -234,16 +250,6 @@ class TestCancellation:
         with pytest.raises(QueryCancelled):
             idx.query(BoundingBox(-170, 170, -80, 80), TimeRange(0, 10_000),
                       should_cancel=lambda: True)
-
-
-class TestEstimates:
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_costs_positive_and_grow_with_box(self, kind):
-        idx = build_from_rows(kind, random_rows(120, seed=51))
-        small = idx.estimate_cost(BoundingBox(0, 0.1, 0, 0.1), TimeRange(0, 1))
-        big = idx.estimate_cost(BoundingBox(-170, 170, -80, 80), TimeRange(0, 1))
-        assert small > 0
-        assert big >= small
 
 
 def test_entry_helper_round_trip():

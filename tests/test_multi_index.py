@@ -19,7 +19,7 @@ def entries():
 
 def test_builds_all_three_kinds(entries):
     multi = build_all(entries, executor="serial")
-    assert multi.kinds() == ("geohash", "quadtree", "ortholist")
+    assert tuple(multi.indexes) == ("geohash", "quadtree", "ortholist")
     assert len(multi) == len(entries)
     assert multi.build_wall_seconds > 0
     assert all(
@@ -31,7 +31,7 @@ def test_rebuild_is_deterministic(entries):
     a = build_all(entries, executor="serial")
     b = build_all(entries, executor="serial")
     assert a.snapshot == b.snapshot
-    for kind in a.kinds():
+    for kind in a.indexes:
         assert a.indexes[kind].to_bytes() == b.indexes[kind].to_bytes()
     assert a.to_bytes() == b.to_bytes()
 
@@ -107,7 +107,9 @@ def test_snapshot_check_rejects_index_built_from_other_rows(
         build_all(entries, executor=executor)
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the process path forks only with 2+ CPUs")
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2, reason="the process path forks only with 2+ CPUs"
+)
 @pytest.mark.parametrize(
     "fault, message",
     [("raise", "geohash: boom"), ("exit", "geohash: build worker exited with code 3")],
@@ -140,10 +142,22 @@ def test_geohash_chunk_claims_under_contention(entries, monkeypatch):
     # bucket a row twice (changing the bytes) or skip it (failing the
     # snapshot check)
     monkeypatch.setattr(mi, "_GEOHASH_CHUNK", 1)
-    monkeypatch.setattr(mi.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(mi.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     serial = build_all(entries, executor="serial").to_bytes()
     for _ in range(5):
         assert build_all(entries, executor="process").to_bytes() == serial
+
+
+def test_auto_builds_in_process_on_one_allowed_cpu(entries, monkeypatch):
+    # a one-CPU affinity mask on a larger host: "auto" must start no process
+    monkeypatch.setattr(mi.os, "sched_getaffinity", lambda pid: {0})
+
+    def no_fork(self):
+        raise AssertionError("build_all started a process")
+
+    monkeypatch.setattr(mi.get_context("fork").Process, "start", no_fork)
+    serial = build_all(entries, executor="serial").to_bytes()
+    assert build_all(entries, executor="auto").to_bytes() == serial
 
 
 def test_executor_validation(entries):

@@ -1,5 +1,7 @@
 """Racing runner: correctness under races, faults, delays, and verification."""
 
+import sys
+import threading
 import time
 
 import pytest
@@ -200,6 +202,143 @@ def test_close_stops_workers_and_closes_pipes(corpus, backend):
     for w in workers:
         assert not w.handle.is_alive()
         assert w.ends and all(end.closed for end in w.ends)
+
+
+class _RaisesOn:
+    """An index that raises for one query box and answers the rest."""
+
+    def __init__(self, index, box):
+        self.index = index
+        self.box = box
+
+    def query(self, box, trange, should_cancel=None):
+        if box == self.box:
+            raise RuntimeError("injected index fault")
+        return self.index.query(box, trange, should_cancel)
+
+
+def as_batch(queries):
+    return [(BoundingBox(*box), TimeRange(*trange)) for box, trange in queries]
+
+
+def oracle_results(rows, queries):
+    return [oracle_scan(rows, box, trange) for box, trange in queries]
+
+
+class _BatchCases(_OnBackend):
+    def test_batch_matches_oracle(self, corpus):
+        rows, queries = corpus
+        with self.runner(build_singles(rows)) as r:
+            outcomes = r.run_batch(as_batch(queries))
+            assert [o.result for o in outcomes] == oracle_results(rows, queries)
+            assert {o.winner for o in outcomes} <= set(SINGLE_KINDS)
+            assert r.stats.queries == len(queries)
+            # the next batch moves the shared cursor on and is answered whole
+            again = r.run_batch(as_batch(queries[:7]))
+            assert [o.result for o in again] == oracle_results(rows, queries[:7])
+
+    def test_each_query_claimed_once_under_contention(self, corpus):
+        # three workers on fewer cores, switching threads as often as the
+        # interpreter allows: a lost update of the cursor would answer some
+        # query twice, which the runner's stats count
+        rows, queries = corpus
+        box, trange = BoundingBox(0, 0.5, 0, 0.5), TimeRange(0, 1)  # cheap queries
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with self.runner(build_singles(rows)) as r:
+                for _ in range(5):
+                    outcomes = r.run_batch([(box, trange)] * 400, deadline=10.0)
+                    assert len(outcomes) == 400
+                assert r.stats.queries == 5 * 400
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_empty_batch(self, corpus):
+        rows, _ = corpus
+        with self.runner(build_singles(rows)) as r:
+            assert r.run_batch([]) == []
+
+    def test_failed_kind_answers_no_query(self, corpus):
+        rows, queries = corpus
+        with self.runner(build_singles(rows)) as r:
+            r.fail_worker("ortholist")
+            outcomes = r.run_batch(as_batch(queries[:60]))
+            assert [o.result for o in outcomes] == oracle_results(rows, queries[:60])
+            assert all(o.winner != "ortholist" for o in outcomes)
+
+    def test_erroring_kind_is_retried_on_another(self, corpus):
+        rows, queries = corpus
+        box, trange = queries[0]
+        indexes = build_singles(rows)
+        indexes["geohash"] = _RaisesOn(indexes["geohash"], BoundingBox(*box))
+        with self.runner(indexes) as r:
+            # the others wait before each query, so GeoHash claims most copies
+            r.set_delay("quadtree", 0.02)
+            r.set_delay("ortholist", 0.02)
+            outcomes = r.run_batch(as_batch([queries[0]] * 6))
+            assert [o.result for o in outcomes] == oracle_results(rows, [queries[0]] * 6)
+            assert all(o.winner != "geohash" for o in outcomes)
+            # GeoHash is left out of that batch only
+            r.set_delay("quadtree", 0.0)
+            r.set_delay("ortholist", 0.0)
+            outcomes = r.run_batch(as_batch(queries[1:40]))
+            assert [o.result for o in outcomes] == oracle_results(rows, queries[1:40])
+
+    def test_query_every_kind_fails_raises(self, corpus):
+        rows, queries = corpus
+        box, _ = queries[0]
+        indexes = build_singles(rows)
+        indexes["geohash"] = _RaisesOn(indexes["geohash"], BoundingBox(*box))
+        with self.runner(indexes) as r:
+            with pytest.raises(QueryTimeoutError, match="failed on every live kind"):
+                r.run_batch(as_batch(queries[:5]), kinds=("geohash",))
+            outcomes = r.run_batch(as_batch(queries[:5]))
+            assert [o.result for o in outcomes] == oracle_results(rows, queries[:5])
+
+    def test_deadline_raises_and_stale_replies_are_discarded(self, corpus):
+        rows, queries = corpus
+        with self.runner(build_singles(rows)) as r:
+            with pytest.raises(QueryTimeoutError, match="deadline"):
+                r.run_batch(as_batch(queries), deadline=1e-6)
+            for box, trange in queries[:10]:
+                outcome = r.query(BoundingBox(*box), TimeRange(*trange))
+                assert outcome.result == oracle_scan(rows, box, trange)
+            outcomes = r.run_batch(as_batch(queries[:30]))
+            assert [o.result for o in outcomes] == oracle_results(rows, queries[:30])
+
+
+class TestBatch(_BatchCases):
+    def test_worker_killed_before_the_batch(self, corpus):
+        rows, queries = corpus
+        with self.runner(build_singles(rows)) as r:
+            victim = r._workers["quadtree"].handle
+            victim.kill()
+            victim.join(timeout=2)
+            outcomes = r.run_batch(as_batch(queries))
+            assert [o.result for o in outcomes] == oracle_results(rows, queries)
+            assert all(o.winner != "quadtree" for o in outcomes)
+            assert r.worker_status()["quadtree"] is False
+
+    def test_worker_killed_mid_batch_is_failed_over(self, corpus):
+        rows, queries = corpus
+        with self.runner(build_singles(rows)) as r:
+            # QuadTree claims a query, then sleeps in its delay until killed
+            r.set_delay("quadtree", 2.0)
+            victim = r._workers["quadtree"].handle
+            killer = threading.Timer(0.2, victim.kill)
+            killer.start()
+            try:
+                outcomes = r.run_batch(as_batch(queries))
+            finally:
+                killer.join()
+            assert [o.result for o in outcomes] == oracle_results(rows, queries)
+            assert all(o.winner != "quadtree" for o in outcomes)
+            assert r.worker_status()["quadtree"] is False
+
+
+class TestBatchThread(_BatchCases):
+    backend = "thread"
 
 
 class TestBackendsAndConfig:
