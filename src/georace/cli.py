@@ -115,8 +115,10 @@ def _cmd_serve(args) -> int:
         sig: signal.signal(sig, signal.default_int_handler)
         for sig in (signal.SIGINT, signal.SIGTERM)
     }
-    print(f"serving {args.store} on http://{host}:{port}", flush=True)
     try:
+        # a client may signal as soon as it reads this line, and the
+        # KeyboardInterrupt can be raised as print returns
+        print(f"serving {args.store} on http://{host}:{port}", flush=True)
         service.serve_forever()
     except KeyboardInterrupt:
         pass

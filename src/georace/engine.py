@@ -16,7 +16,8 @@ largest band holds at least PARALLEL_FETCH_MIN_BAND_BYTES. With smaller bands,
 handing the interpreter lock between threads costs more than the second CPU
 saves, so the calling thread does every tile alone, and it quantizes the
 canvas once at the end, since many small windows cost more to quantize than
-one canvas.
+one canvas. A canvas no tile paints is not quantized: its blank PGM already
+holds the no-data byte everywhere.
 
 The band math needs a plan, which the calling thread makes while the helpers
 read and verify their first tiles: bandmath._layout lays the tiles out from
@@ -285,7 +286,7 @@ def _build(system: System, q: Query, metas: list, live: frozenset):
             raise failure
     if unplanned is not None:
         raise unplanned
-    if not large:
+    if not large and layout.paint:  # a canvas nothing was painted on is all no-data bytes
         to_bytes_grid(canvas, kind, out=pixels)
     mosaic = Mosaic._adopt(q.bbox, canvas, layout.pixel_size_deg, layout.provenance)
     return mosaic, memoryview(pgm).toreadonly(), t_plan

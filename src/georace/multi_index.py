@@ -13,7 +13,13 @@ CPUs, however that work divides between the kinds. CPUs are the ones this
 process may run on (its affinity mask), not those the host has. When that is
 one, everything runs in the calling process, as with executor="serial" (a
 forked child would only add fork and pickling overhead to the same
-sequential schedule).
+sequential schedule). So does a snapshot of fewer than PROCESS_MIN_ROWS rows
+under executor="auto": there the fork and the reply cost more than the
+second CPU saves. Fresh-process build_all on a 2-vCPU host, 0.25-degree tiles
+on a grid with 8 revisits, medians of 9 interleaved serial/process pairs in
+ms: 200 rows 5.3/16.6, 400 10.1/16.6, 800 19.9/22.5, 1200 30.8/27.9, 1600
+36.2/37.4, 2400 61.4/47.7, 6400 167/121; serial won 9, 9, 7, 6, 5, 3 and 2
+of the 9 pairs.
 
 The snapshot reaches the children through fork: each inherits the validated
 rows copy-on-write, so nothing is pickled on the way in. A child sends back
@@ -56,6 +62,8 @@ _WHOLE = (IndexKind.QUADTREE.value, IndexKind.ORTHOLIST.value)
 # GeoHash rows per claimed chunk: at 9000 tiles about 5 ms of work, so the
 # processes finish within a few ms of each other
 _GEOHASH_CHUNK = 256
+# executor="auto" forks only from this many rows: the crossover measured above
+PROCESS_MIN_ROWS = 1024
 
 
 class MultiIndex:
@@ -186,10 +194,11 @@ def build_all(
 
     executor="serial" builds all three in this process; "process" spreads
     them over min(max_workers, CPUs, 3) processes, this one included;
-    "auto" picks "process" when both the CPU count and max_workers are at
-    least 2. The output is byte-identical whichever executor runs. The
-    GeoHash index's build_seconds is this process's span from its first
-    chunk to the assembled index.
+    "auto" picks "process" when the CPU count and max_workers are both at
+    least 2 and there are at least PROCESS_MIN_ROWS entries. The output is
+    byte-identical whichever executor runs. The GeoHash index's
+    build_seconds is this process's span from its first chunk to the
+    assembled index.
     """
     if executor not in ("auto", "serial", "process"):
         raise ValidationError(f"executor must be auto|serial|process, got {executor!r}")
@@ -200,7 +209,7 @@ def build_all(
 
     cpus = len(os.sched_getaffinity(0))
     use_processes = executor == "process" or (
-        executor == "auto" and cpus >= 2 and max_workers >= 2
+        executor == "auto" and cpus >= 2 and max_workers >= 2 and len(rows) >= PROCESS_MIN_ROWS
     )
     processes = min(max_workers, cpus, len(_ENSEMBLE)) if use_processes else 1
     ctx = get_context("fork")

@@ -252,7 +252,11 @@ class QueryService:
         self._thread.start()
 
     def stop(self) -> None:
-        self.httpd.shutdown()
+        # without a background thread, the caller's own serve_forever has
+        # returned or never started (a signal came first): shutdown() would
+        # wait forever for a loop that never ran
+        if self._thread is not None:
+            self.httpd.shutdown()
         self.httpd.server_close()
         self.httpd.close_connections(timeout=5)
         if self._thread is not None:

@@ -7,9 +7,19 @@ Every tile is written to 3 distinct nodes chosen round-robin over the live
 nodes in ingest order.
 
 Layout per node:   lon_<FFF>/lat_<FFF>/<YYYY>/<tile_id>/<band>.band
-                   lon_<FFF>/lat_<FFF>/<YYYY>/<tile_id>/meta.json
-Catalog:           <root>/catalog.ndjson (one JSON object per tile, same
-                   keys as meta.json, insertion order = ingest order)
+Catalog:           <root>/catalog.ndjson (one JSON object per tile and line,
+                   insertion order = ingest order)
+
+A replica holds band files only; the catalog row is the one record of a
+tile. Ingest writes every band file to each of the tile's nodes, then
+appends the tile's row to the catalog in one write, and that append is the
+commit. Until it lands, the tile does not exist: a band file torn by a
+crash is never read, and one corrupted later fails its SHA-256 and the read
+fails over. A catalog is read only up to its last newline: a last line with
+no newline is an ingest that never committed, so open skips it unparsed and
+the next ingest cuts it off before appending. A complete line that does not
+parse is CorruptionError. Stores whose replicas also hold a meta.json, as
+earlier versions wrote, open and read the same: no code reads that file.
 
 A catalog row holds, in this order: tile_id; the footprint (min_lon,
 max_lon, min_lat, max_lat); capture_time; satellite; bands, the band labels
@@ -278,6 +288,22 @@ def _meta_row(meta: TileMetadata) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+def _committed_end(fh, size: int) -> int:
+    """The length of the catalog open as fh, size bytes long, up to and
+    including its last newline: what follows is a row whose append never
+    completed. Read from the file, not kept in memory, so that rows another
+    TileStore on the same root committed are kept."""
+    end = size
+    while end:
+        start = max(0, end - 4096)
+        fh.seek(start)
+        newline = fh.read(end - start).rfind(b"\n")
+        if newline >= 0:
+            return start + newline + 1
+        end = start
+    return 0
+
+
 def _parse_meta_row(line: str, *, source: str) -> TileMetadata:
     try:
         doc = json.loads(line)
@@ -346,16 +372,17 @@ class TileStore:
             raise ValidationError(f"{root} is not a tile store (missing {cls.MANIFEST})")
         manifest = json.loads(manifest_path.read_text())
         store = cls(root, int(manifest["nodes"]), config or IndexConfig())
-        with open(root / cls.CATALOG, "r", encoding="utf-8") as fh:
-            for n, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                meta = _parse_meta_row(line, source=f"catalog row {n}")
-                if meta.tile_id in store._by_id:
-                    raise CorruptionError(f"catalog row {n}: duplicate tile {meta.tile_id}")
-                store._rows.append(meta)
-                store._by_id[meta.tile_id] = meta
+        data = (root / cls.CATALOG).read_bytes()
+        committed = data[:data.rfind(b"\n") + 1]  # past it: an ingest that never committed
+        for n, line in enumerate(committed.decode("utf-8").split("\n")[:-1], 1):
+            line = line.strip()
+            if not line:
+                continue
+            meta = _parse_meta_row(line, source=f"catalog row {n}")
+            if meta.tile_id in store._by_id:
+                raise CorruptionError(f"catalog row {n}: duplicate tile {meta.tile_id}")
+            store._rows.append(meta)
+            store._by_id[meta.tile_id] = meta
         return store
 
     # -- nodes ---------------------------------------------------------------
@@ -409,16 +436,19 @@ class TileStore:
             shape=(scene.rows, scene.cols),
             checksums=checksums,
         )
-        row = _meta_row(meta)
         rel = tile_dir(meta)
         for node in placement:
             base = self._node_dir(node) / rel
             base.mkdir(parents=True, exist_ok=True)
             for label, blob in blobs.items():
                 (base / f"{label}.band").write_bytes(blob)
-            (base / "meta.json").write_text(row + "\n", encoding="utf-8")
-        with open(self.root / self.CATALOG, "a", encoding="utf-8") as fh:
-            fh.write(row + "\n")
+        with open(self.root / self.CATALOG, "r+b") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            committed = _committed_end(fh, size)
+            if committed < size:  # a torn row of an ingest that never committed
+                fh.truncate(committed)
+            fh.seek(committed)
+            fh.write((_meta_row(meta) + "\n").encode("utf-8"))  # the commit
         self._rows.append(meta)
         self._by_id[tile_id] = meta
         self._holders[tile_id] = rel, tuple(node for node in self.node_ids if node in placement)

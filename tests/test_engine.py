@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import georace.bandmath
+import georace.engine
 from georace.bandmath import InfoKind, assemble_mosaic, compute_index
 from georace.engine import (
     FETCH_THREAD_PREFIX,
@@ -78,17 +79,24 @@ class TestQueryValidation:
 
 
 class TestExecute:
-    def test_zero_tile_query_is_empty_result(self, system):
+    def test_zero_tile_query_is_empty_result(self, system, monkeypatch):
         q = Query(
             BoundingBox(-120.0, -119.0, -45.0, -44.0),
             TimeRange(0, 1),
             InfoKind.NDVI,
         )
+
+        def no_quantize(*args, **kwargs):
+            raise AssertionError("quantized a canvas nothing was painted on")
+
+        monkeypatch.setattr(georace.engine, "to_bytes_grid", no_quantize)
         res = execute_query(system, q)
         assert res.tile_count == 0
         assert res.tile_ids == ()
         assert res.mosaic.no_data.all()
         assert res.mosaic.pixel_size_deg == pytest.approx(system.pixel_size_deg)
+        monkeypatch.undo()
+        assert bytes(res.pgm) == render_pgm(res.mosaic, q.info)
 
     def test_single_tile_ndvi_matches_direct_computation(self, system):
         q = tile_query()

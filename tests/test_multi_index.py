@@ -151,6 +151,7 @@ def test_geohash_chunk_claims_under_contention(entries, monkeypatch):
 def test_auto_builds_in_process_on_one_allowed_cpu(entries, monkeypatch):
     # a one-CPU affinity mask on a larger host: "auto" must start no process
     monkeypatch.setattr(mi.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(mi, "PROCESS_MIN_ROWS", 0)
 
     def no_fork(self):
         raise AssertionError("build_all started a process")
@@ -158,6 +159,24 @@ def test_auto_builds_in_process_on_one_allowed_cpu(entries, monkeypatch):
     monkeypatch.setattr(mi.get_context("fork").Process, "start", no_fork)
     serial = build_all(entries, executor="serial").to_bytes()
     assert build_all(entries, executor="auto").to_bytes() == serial
+
+
+@pytest.mark.parametrize("min_rows, children", [(151, 0), (150, 1)])
+def test_auto_forks_only_from_process_min_rows(entries, monkeypatch, min_rows, children):
+    # two allowed CPUs and 150 rows: "auto" forks from the threshold up, never below
+    monkeypatch.setattr(mi.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(mi, "PROCESS_MIN_ROWS", min_rows)
+    process = mi.get_context("fork").Process
+    real_start, started = process.start, []
+
+    def start(self):
+        started.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(process, "start", start)
+    serial = build_all(entries, executor="serial").to_bytes()
+    assert build_all(entries, executor="auto").to_bytes() == serial
+    assert len(started) == children
 
 
 def test_executor_validation(entries):

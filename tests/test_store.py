@@ -78,14 +78,23 @@ class TestIngest:
             if (store.root / "nodes" / node / tile_dir(meta)).is_dir()
         ]
         assert len(holders) == 3
-        for node in holders:
+        for node in holders:  # band files only: the catalog row is the tile's one record
             base = store.root / "nodes" / node / tile_dir(meta)
             assert sorted(p.name for p in base.iterdir()) == sorted(
-                [f"{b}.band" for b in DEFAULT_BAND_LABELS] + ["meta.json"]
+                f"{b}.band" for b in DEFAULT_BAND_LABELS
             )
         catalog = (store.root / "catalog.ndjson").read_text().strip().splitlines()
         assert len(catalog) == 1
         assert json.loads(catalog[0])["tile_id"] == tile_id
+
+    def test_footprint_is_band_files_and_one_catalog_row(self, store):
+        ids = [store.ingest(scene_at(10.0 + i, 20.0, 1000 + i)) for i in range(4)]
+        files = [p for p in (store.root / "nodes").rglob("*") if p.is_file()]
+        assert sorted(p.name for p in files) == sorted(["NIR.band", "Red.band"] * 3 * len(ids))
+        # 270 B each: 8 x 8 float32 pixels behind the band header
+        assert {p.stat().st_size for p in files} == {HEADER_SIZE + 4 * 8 * 8}
+        catalog = (store.root / "catalog.ndjson").read_text().splitlines()
+        assert [json.loads(line)["tile_id"] for line in catalog] == ids
 
     def test_catalog_row_key_order_is_fixed(self, store):
         store.ingest(scene_at(10.0, 20.0, 1000))
@@ -381,10 +390,54 @@ class TestIntegrityOnOpen:
         with pytest.raises(CorruptionError):
             TileStore.open(store.root)
 
+    def test_store_with_replica_meta_json_reads_the_same(self, store):
+        # earlier versions also wrote each tile's catalog row into every replica
+        scenes = [scene_at(10.0 + i, 20.0, 1000 + i) for i in range(3)]
+        ids = [store.ingest(scene) for scene in scenes]
+        for line, tile_id in zip((store.root / "catalog.ndjson").read_text().splitlines(), ids):
+            for node in store.placement(tile_id):
+                base = store.root / "nodes" / node / tile_dir(store.metadata(tile_id))
+                (base / "meta.json").write_text(line + "\n", encoding="utf-8")
+        reopened = TileStore.open(store.root)
+        assert [m.tile_id for m in reopened.catalog_rows()] == ids
+        for scene, tile_id in zip(scenes, ids):
+            assert reopened.placement(tile_id) == store.placement(tile_id)
+            for label in ("NIR", "Red"):
+                got = reopened.fetch_band(tile_id, label).values
+                assert got.tobytes() == scene.band(label).tobytes()
+
+    @pytest.mark.parametrize("before, tail", [(1, "half"), (1, "long"), (0, "half")])
+    def test_torn_last_row_is_an_ingest_that_never_committed(self, store, before, tail):
+        first = [store.ingest(scene_at(10.0, 20.0, 1000)) for _ in range(before)]
+        catalog = store.root / "catalog.ndjson"
+        committed = catalog.read_bytes()
+        row = json.dumps({"tile_id": "t" + "0" * 12, "satellite": "x" * 5000})
+        # a crash cut an ingest's append short: no newline, not JSON, maybe
+        # longer than one read from the end
+        with open(catalog, "ab") as fh:
+            fh.write(row[: len(row) // 2 if tail == "half" else -1].encode())
+        reopened = TileStore.open(store.root)
+        assert [m.tile_id for m in reopened.catalog_rows()] == first
+        second = reopened.ingest(scene_at(11.0, 20.0, 1001))
+        data = catalog.read_bytes()  # the committed rows, then the new one: no torn bytes
+        assert data.startswith(committed) and data.count(b"\n") == before + 1
+        assert data.endswith(b"\n")
+        again = TileStore.open(store.root)
+        assert [m.tile_id for m in again.catalog_rows()] == first + [second]
+        assert again.fetch_band(second, "NIR") is not None
+
+    def test_ingest_keeps_rows_another_store_object_appended(self, store):
+        other = TileStore.open(store.root)
+        a = store.ingest(scene_at(10.0, 20.0, 1000))
+        b = other.ingest(scene_at(11.0, 20.0, 1001))
+        c = store.ingest(scene_at(12.0, 20.0, 1002))
+        assert [m.tile_id for m in TileStore.open(store.root).catalog_rows()] == [a, b, c]
+
     def test_garbage_row_detected(self, store):
         store.ingest(scene_at(10.0, 20.0, 1000))
         catalog = store.root / "catalog.ndjson"
         catalog.write_text(catalog.read_text() + "{not json\n")
+        # complete, so committed: the garbled last line is not taken for a torn one
         with pytest.raises(CorruptionError, match="row 2"):
             TileStore.open(store.root)
 
