@@ -160,8 +160,15 @@ def mosaic_shape(bbox: BoundingBox, pixel_size_deg: float) -> tuple[int, int]:
     return rows, cols
 
 
-def _blank(shape: tuple[int, int]) -> np.ndarray:
-    return np.full(shape, np.nan, dtype=np.float32)
+def _canvas(layout: "_Layout") -> np.ndarray:
+    """The float canvas of a layout, NaN (no-data) on every pixel no tile
+    owns. A canvas the tiles own whole is left unwritten for them to paint.
+    One with a gap is NaN-filled whole, and the owners overwrite their
+    pixels: a fill masked to the gaps took 1.1-4 times as long as a plain
+    fill of the canvas."""
+    if layout.gaps is None:
+        return np.empty(layout.shape, dtype=np.float32)
+    return np.full(layout.shape, np.nan, dtype=np.float32)
 
 
 @dataclass(frozen=True)
@@ -175,6 +182,7 @@ class _Layout:
     # the window or None for all of it) of each tile that keeps at least one
     # pixel, in catalog order
     paint: tuple[tuple[int, tuple[slice, slice], tuple[slice, slice], np.ndarray | None], ...]
+    gaps: np.ndarray | None  # the canvas pixels no tile owns; None when tiles own all
 
 
 def _layout(
@@ -190,7 +198,8 @@ def _layout(
     if not tiles:
         if pixel_size_deg is None:
             raise ValidationError("pixel size required for an empty mosaic")
-        return _Layout(pixel_size_deg, mosaic_shape(query_bbox, pixel_size_deg), (), ())
+        shape = mosaic_shape(query_bbox, pixel_size_deg)
+        return _Layout(pixel_size_deg, shape, (), (), np.ones(shape, dtype=bool))
 
     sizes = {
         (round(meta.bbox.width / cols, 12), round(meta.bbox.height / rows, 12))
@@ -234,7 +243,8 @@ def _layout(
         window[...] = True
     paint.reverse()
     provenance = tuple(tiles[i][0].tile_id for i, _, _ in overlaps)
-    return _Layout(px, shape, provenance, tuple(paint))
+    gaps = None if claimed.all() else np.logical_not(claimed, out=claimed)
+    return _Layout(px, shape, provenance, tuple(paint), gaps)
 
 
 def assemble_mosaic(
@@ -251,7 +261,7 @@ def assemble_mosaic(
     """
     layout = _layout([(meta, grid.values.shape) for meta, grid in results],
                      query_bbox, pixel_size_deg)
-    canvas = _blank(layout.shape)
+    canvas = _canvas(layout)
     for i, dst, src, _ in layout.paint:
         canvas[dst] = results[i][1].values[src]
     return Mosaic._adopt(query_bbox, canvas, layout.pixel_size_deg, layout.provenance)

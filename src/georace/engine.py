@@ -52,7 +52,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .bandmath import InfoKind, Mosaic, _blank, _layout, _paint_index, mosaic_shape
+from .bandmath import InfoKind, Mosaic, _canvas, _layout, _paint_index, mosaic_shape
 from .errors import IndexMismatchError, ValidationError
 from .formats import HEADER_SIZE
 from .geo import BoundingBox, TimeRange
@@ -269,7 +269,7 @@ def _build(system: System, q: Query, metas: list, live: frozenset):
         except ValidationError as exc:
             unplanned = exc
         else:
-            canvas = _blank(layout.shape)
+            canvas = _canvas(layout)
             pgm, pixels = blank_pgm(layout.shape)
             owned = {i: (dst, src, mask) for i, dst, src, mask in layout.paint}
         t_plan = time.perf_counter() - t0

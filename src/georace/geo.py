@@ -74,6 +74,16 @@ class BoundingBox:
         if not (LAT_MIN <= vals["min_lat"] and vals["max_lat"] <= LAT_MAX):
             raise ValidationError(f"lat range outside [{LAT_MIN}, {LAT_MAX}]")
 
+    @classmethod
+    def _trusted(
+        cls, min_lon: float, max_lon: float, min_lat: float, max_lat: float
+    ) -> "BoundingBox":
+        """A box from four floats the caller has checked as __post_init__
+        would: finite, ordered and in range."""
+        box = object.__new__(cls)
+        box.__dict__.update(min_lon=min_lon, max_lon=max_lon, min_lat=min_lat, max_lat=max_lat)
+        return box
+
     @property
     def width(self) -> float:
         return self.max_lon - self.min_lon
@@ -142,15 +152,9 @@ def derive_tile_id(bbox: BoundingBox, capture_time: int, satellite: str) -> str:
     Identical (bbox, capture_time, satellite) always yields the same id.
     Float repr is shortest-round-trip, so equal floats map to equal strings.
     """
-    canonical = "|".join(
-        (
-            repr(bbox.min_lon),
-            repr(bbox.max_lon),
-            repr(bbox.min_lat),
-            repr(bbox.max_lat),
-            str(int(capture_time)),
-            satellite,
-        )
+    canonical = (
+        f"{bbox.min_lon!r}|{bbox.max_lon!r}|{bbox.min_lat!r}|{bbox.max_lat!r}|"
+        f"{int(capture_time)}|{satellite}"
     )
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     return "t" + digest[:12]

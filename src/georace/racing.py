@@ -19,11 +19,17 @@ enough to double the mean race latency, which is why the hedged schedule is
 the default; any worker can still win, and a stalled primary is overtaken
 after one hedge_delay.
 
-The bulk path (run_batch) sends the whole batch to every live worker, and
-the workers share it through one cursor in shared memory: each claims the
-next unanswered query until none is left, so a faster kind simply claims
-more of them (self-balancing work sharing, as in Blumofe & Leiserson,
-"Scheduling multithreaded computations by work stealing", JACM 1999).
+The bulk path (run_batch) sends the whole batch to at most one live worker
+per CPU the process may use, and those workers share it through one cursor
+in shared memory: each claims the next unanswered query until none is left,
+so a faster kind simply claims more of them (self-balancing work sharing, as
+in Blumofe & Leiserson, "Scheduling multithreaded computations by work
+stealing", JACM 1999). When there are more live kinds than CPUs, the batch
+goes to the kinds with the lowest mean compute seconds per query in earlier
+bulk replies: a slow kind sharing the CPUs takes time from the fast ones
+while answering fewer queries. Until every live kind has answered a bulk
+query, and whenever the kinds do not outnumber the CPUs, all of them take
+part. query() always races every live kind.
 
 Cancellation is cooperative: the runner bumps a shared watermark after a
 query settles, and workers poll it between index-node visits (queries carry
@@ -38,6 +44,7 @@ worker until cancelled.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import Counter
@@ -206,6 +213,9 @@ class RaceRunner:
         self._qid = 0
         self._lock = threading.Lock()
         self.stats = RaceStats()
+        # per kind: compute seconds and count of the bulk queries it answered
+        self._bulk_seconds: Counter = Counter()
+        self._bulk_answers: Counter = Counter()
         self._closed = False
         self._workers: dict[str, _Worker] = {}
         ctx = get_context("fork")
@@ -395,15 +405,15 @@ class RaceRunner:
         """Answer every (box, trange) of queries once, in bulk; results
         return in query order.
 
-        Every live worker receives the whole batch in one message, and the
-        workers claim its queries one at a time from the shared cursor, so
-        each query runs on one kind and the faster kinds answer more of
-        them. There is no racing or hedging per query; that is the query()
-        path. Failover holds: the queries a dead worker claimed but did not
-        answer run again on the survivors in a new round, and a kind that
-        returns an error is left out of the batch's later rounds, so the
-        query is retried on another kind. A query that no live kind could
-        answer raises QueryTimeoutError.
+        The whole batch goes in one message to each live worker that
+        _bulk_kinds picks, and they claim its queries one at a time from the
+        shared cursor, so each query runs on one kind and the faster kinds
+        answer more of them. There is no racing or hedging per query; that
+        is the query() path. Failover holds: the queries a dead worker
+        claimed but did not answer run again on the survivors in a new
+        round, and a kind that returns an error is left out of the batch's
+        later rounds, so the query is retried on another kind. A query that
+        no live kind could answer raises QueryTimeoutError.
         """
         with self._lock:
             return self._run_batch_locked(list(queries), kinds, deadline)
@@ -436,6 +446,7 @@ class RaceRunner:
                 raise QueryTimeoutError(
                     f"batch query {todo[0]} failed on every live kind ({errors})"
                 )
+            alive = self._bulk_kinds(alive)
 
             # this round's queries take the next len(todo) ids, from base up
             base = self._qid + 1
@@ -479,6 +490,8 @@ class RaceRunner:
                                 self.stats.queries += 1
                                 self.stats.winner_counts[kind] += 1
                                 self.stats.latency_sum += compute_s
+                                self._bulk_seconds[kind] += compute_s
+                                self._bulk_answers[kind] += 1
                             elif q_status == "error":
                                 errors[kind] = str(tiles)
                                 left_out.add(kind)
@@ -488,6 +501,18 @@ class RaceRunner:
 
         self._settle(self._qid)
         return outcomes  # type: ignore[return-value]
+
+    def _bulk_kinds(self, alive: list[str]) -> list[str]:
+        """The kinds a bulk round goes to: at most one per usable CPU, those
+        with the lowest mean compute seconds per bulk query so far; all of
+        alive while they do not outnumber the CPUs or one has no history."""
+        cpus = len(os.sched_getaffinity(0))
+        if len(alive) <= cpus or not all(self._bulk_answers[k] for k in alive):
+            return alive
+        return sorted(
+            alive,
+            key=lambda k: (self._bulk_seconds[k] / self._bulk_answers[k], _PRIORITY.get(k, 99)),
+        )[:cpus]
 
     def _settle(self, qid: int) -> None:
         self._watermark.value = qid

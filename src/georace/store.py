@@ -7,8 +7,9 @@ Every tile is written to 3 distinct nodes chosen round-robin over the live
 nodes in ingest order.
 
 Layout per node:   lon_<FFF>/lat_<FFF>/<YYYY>/<tile_id>/<band>.band
-Catalog:           <root>/catalog.ndjson (one JSON object per tile and line,
+Catalog:           <root>/catalog.ndjson (one JSON array per tile and line,
                    insertion order = ingest order)
+Manifest:          <root>/store.json, {"version": 2, "nodes": <n>}
 
 A replica holds band files only; the catalog row is the one record of a
 tile. Ingest writes every band file to each of the tile's nodes, then
@@ -18,15 +19,29 @@ crash is never read, and one corrupted later fails its SHA-256 and the read
 fails over. A catalog is read only up to its last newline: a last line with
 no newline is an ingest that never committed, so open skips it unparsed and
 the next ingest cuts it off before appending. A complete line that does not
-parse is CorruptionError. Stores whose replicas also hold a meta.json, as
-earlier versions wrote, open and read the same: no code reads that file.
+parse is CorruptionError naming its line number. A file in a replica
+directory other than the band files, such as the meta.json that earlier
+versions wrote, is never read.
 
-A catalog row holds, in this order: tile_id; the footprint (min_lon,
-max_lon, min_lat, max_lat); capture_time; satellite; bands, the band labels
-in scene order; rows and cols, the shape every band of the tile has; and
-checksums, each band file's SHA-256. Open checks that every key is there,
-that rows and cols are positive ints and that the tile id matches the
-footprint, time and satellite; it reads no band file.
+A catalog row is a positional JSON array, with no key names:
+
+    [tile_id, min_lon, max_lon, min_lat, max_lat, capture_time, satellite,
+     [band labels in scene order], rows, cols, digest_1, ..., digest_n]
+
+rows and cols are the shape every band of the tile has, and digest_i is the
+SHA-256 of band i's file: its 32 raw bytes as base64 without the trailing
+"=" (43 characters). An 8 x 8 two-band tile's row is about 175 bytes. Open
+parses each row once, with one json.loads, and checks it in the same pass:
+the field count (ten, then one digest per band); a finite, ordered footprint
+inside the world bounds; an int capture time and a non-empty satellite;
+distinct non-empty band labels; rows and cols positive ints (not bools);
+each digest's encoding; the tile id against derive_tile_id; and no tile id
+twice. Only then are the box and the metadata built, without checking their
+fields again. Open reads no band file.
+
+The manifest's version is 2. A version 1 store, whose rows are JSON objects
+with hex checksums, is refused at open with a message that names both
+formats: there is no migration; ingest its scenes into a new store.
 
 Replica placement is not persisted separately. The nodes holding a tile are
 found by probing the node directories, in node order, which is also the
@@ -60,6 +75,7 @@ _holders; two threads looking up the same tile store equal tuples.
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import json
 import math
@@ -80,7 +96,17 @@ from .errors import (
     UnknownNodeError,
     ValidationError,
 )
-from .geo import BoundingBox, TimeRange, derive_tile_id, intersects, overlaps_time
+from .geo import (
+    LAT_MAX,
+    LAT_MIN,
+    LON_MAX,
+    LON_MIN,
+    BoundingBox,
+    TimeRange,
+    derive_tile_id,
+    intersects,
+    overlaps_time,
+)
 from .indexes import IndexConfig, IndexEntry
 
 REPLICATION_FACTOR = 3
@@ -100,19 +126,14 @@ DEFAULT_BAND_LABELS = (
     "TIRS1",
 )
 
-_META_KEYS = (
-    "tile_id",
-    "min_lon",
-    "max_lon",
-    "min_lat",
-    "max_lat",
-    "capture_time",
-    "satellite",
-    "bands",
-    "rows",
-    "cols",
-    "checksums",
-)
+STORE_VERSION = 2
+# tile_id, the four footprint floats, capture_time, satellite, bands, rows,
+# cols; then one digest per band
+_ROW_FIELDS = 10
+_DIGEST_CHARS = 43  # 32 bytes of SHA-256 as unpadded base64
+_DIGEST_BYTES = {32}
+_NUMBER_TYPES = {float, int}
+_STR_TYPE = {str}
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +242,18 @@ class TileMetadata:
     satellite: str
     band_labels: tuple[str, ...]
     shape: tuple[int, int]  # (rows, cols) of every band of the tile
-    checksums: dict[str, str]
+    checksums: dict[str, bytes]  # band label -> SHA-256 digest of its band file
+
+    @classmethod
+    def _trusted(cls, tile_id, bbox, capture_time, satellite, band_labels, shape, checksums):
+        """Metadata from fields the caller has checked, without the
+        dataclass's per-field setattr calls."""
+        meta = object.__new__(cls)
+        meta.__dict__.update(
+            tile_id=tile_id, bbox=bbox, capture_time=capture_time, satellite=satellite,
+            band_labels=band_labels, shape=shape, checksums=checksums,
+        )
+        return meta
 
     def entry(self) -> IndexEntry:
         return IndexEntry(
@@ -271,21 +303,15 @@ def tile_path(meta: TileMetadata, band_label: str) -> str:
     return f"{tile_dir(meta)}/{band_label}.band"
 
 
-def _meta_row(meta: TileMetadata) -> str:
-    doc = {
-        "tile_id": meta.tile_id,
-        "min_lon": meta.bbox.min_lon,
-        "max_lon": meta.bbox.max_lon,
-        "min_lat": meta.bbox.min_lat,
-        "max_lat": meta.bbox.max_lat,
-        "capture_time": meta.capture_time,
-        "satellite": meta.satellite,
-        "bands": list(meta.band_labels),
-        "rows": meta.shape[0],
-        "cols": meta.shape[1],
-        "checksums": {label: meta.checksums[label] for label in meta.band_labels},
-    }
-    return json.dumps(doc, separators=(",", ":"))
+def _catalog_row(meta: TileMetadata) -> str:
+    row = [
+        meta.tile_id, *meta.bbox.as_tuple(), meta.capture_time, meta.satellite,
+        list(meta.band_labels), *meta.shape,
+        # 32 bytes encode to 43 characters and one "=", which is dropped
+        *(binascii.b2a_base64(meta.checksums[label], newline=False)[:-1].decode("ascii")
+          for label in meta.band_labels),
+    ]
+    return json.dumps(row, separators=(",", ":"))
 
 
 def _committed_end(fh, size: int) -> int:
@@ -304,31 +330,68 @@ def _committed_end(fh, size: int) -> int:
     return 0
 
 
-def _parse_meta_row(line: str, *, source: str) -> TileMetadata:
+def _parse_row(line: str, n: int) -> TileMetadata:
+    """Catalog row n, checked in one pass, as TileMetadata."""
     try:
-        doc = json.loads(line)
+        row = json.loads(line)
     except ValueError as exc:
-        raise CorruptionError(f"{source}: unparseable row: {exc}") from exc
-    missing = [k for k in _META_KEYS if k not in doc]
-    if missing:
-        raise CorruptionError(f"{source}: row missing keys {missing}")
-    for key in ("rows", "cols"):
-        value = doc[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise CorruptionError(f"{source}: {key} must be a positive int, got {value!r}")
-    bbox = BoundingBox(doc["min_lon"], doc["max_lon"], doc["min_lat"], doc["max_lat"])
-    meta = TileMetadata(
-        tile_id=doc["tile_id"],
-        bbox=bbox,
-        capture_time=int(doc["capture_time"]),
-        satellite=doc["satellite"],
-        band_labels=tuple(doc["bands"]),
-        shape=(doc["rows"], doc["cols"]),
-        checksums=dict(doc["checksums"]),
+        raise CorruptionError(f"catalog row {n}: unparseable row: {exc}") from exc
+    if not (
+        type(row) is list
+        and len(row) >= _ROW_FIELDS
+        and type(row[7]) is list
+        and len(row) == _ROW_FIELDS + len(row[7])
+    ):
+        raise CorruptionError(
+            f"catalog row {n}: a row is a JSON array of {_ROW_FIELDS} fields and one "
+            f"digest per band"
+        )
+    tile_id, min_lon, max_lon, min_lat, max_lat, capture_time, satellite, bands, rows, cols = (
+        row[:_ROW_FIELDS]
     )
-    if derive_tile_id(bbox, meta.capture_time, meta.satellite) != meta.tile_id:
-        raise CorruptionError(f"{source}: tile {meta.tile_id}: id does not match metadata")
-    return meta
+    # a chained comparison is False for NaN, and infinities fall outside the range
+    if not (
+        {*map(type, row[1:5])} <= _NUMBER_TYPES
+        and LON_MIN <= min_lon <= max_lon <= LON_MAX
+        and LAT_MIN <= min_lat <= max_lat <= LAT_MAX
+    ):
+        raise CorruptionError(
+            f"catalog row {n}: footprint {row[1:5]} is not a finite, ordered, in-range box"
+        )
+    if type(capture_time) is not int:
+        raise CorruptionError(
+            f"catalog row {n}: capture_time must be an int, got {capture_time!r}"
+        )
+    if type(satellite) is not str or not satellite:
+        raise CorruptionError(f"catalog row {n}: satellite must be a non-empty string")
+    labels = tuple(bands)
+    if {*map(type, labels)} != _STR_TYPE or "" in labels or len({*labels}) != len(labels):
+        raise CorruptionError(
+            f"catalog row {n}: bands must be distinct non-empty labels, got {bands!r}"
+        )
+    if type(rows) is not int or rows < 1:
+        raise CorruptionError(f"catalog row {n}: rows must be a positive int, got {rows!r}")
+    if type(cols) is not int or cols < 1:
+        raise CorruptionError(f"catalog row {n}: cols must be a positive int, got {cols!r}")
+    # 43 characters decode to 32 bytes only when every one is in the base64
+    # alphabet: a2b_base64 skips any other, and 42 characters hold 31 bytes
+    try:
+        digests = [
+            binascii.a2b_base64(d + "=") for d in row[_ROW_FIELDS:] if len(d) == _DIGEST_CHARS
+        ]
+    except (TypeError, ValueError):
+        digests = []
+    if len(digests) != len(labels) or {*map(len, digests)} != _DIGEST_BYTES:
+        raise CorruptionError(
+            f"catalog row {n}: a band digest is not {_DIGEST_CHARS} characters of base64: "
+            f"{row[_ROW_FIELDS:]!r}"
+        )
+    bbox = BoundingBox._trusted(float(min_lon), float(max_lon), float(min_lat), float(max_lat))
+    if derive_tile_id(bbox, capture_time, satellite) != tile_id:
+        raise CorruptionError(f"catalog row {n}: tile {tile_id}: id does not match metadata")
+    return TileMetadata._trusted(
+        tile_id, bbox, capture_time, satellite, labels, (rows, cols), dict(zip(labels, digests))
+    )
 
 
 class TileStore:
@@ -359,7 +422,7 @@ class TileStore:
         store = cls(root, nodes, config or IndexConfig())
         for node in store.node_ids:
             (root / "nodes" / node).mkdir(parents=True)
-        manifest = {"version": 1, "nodes": nodes}
+        manifest = {"version": STORE_VERSION, "nodes": nodes}
         (root / cls.MANIFEST).write_text(json.dumps(manifest, separators=(",", ":")))
         (root / cls.CATALOG).touch()
         return store
@@ -371,18 +434,26 @@ class TileStore:
         if not manifest_path.is_file():
             raise ValidationError(f"{root} is not a tile store (missing {cls.MANIFEST})")
         manifest = json.loads(manifest_path.read_text())
+        version = manifest.get("version")
+        if version != STORE_VERSION:
+            raise ValidationError(
+                f"{root} is a version {version} tile store; this version reads only "
+                f"version {STORE_VERSION} (catalog rows as JSON arrays with base64 SHA-256 "
+                f"digests). Version 1 rows are JSON objects with hex checksums: ingest the "
+                f"scenes into a new store"
+            )
         store = cls(root, int(manifest["nodes"]), config or IndexConfig())
         data = (root / cls.CATALOG).read_bytes()
         committed = data[:data.rfind(b"\n") + 1]  # past it: an ingest that never committed
+        rows, by_id = store._rows, store._by_id
         for n, line in enumerate(committed.decode("utf-8").split("\n")[:-1], 1):
-            line = line.strip()
-            if not line:
+            if not line or line.isspace():
                 continue
-            meta = _parse_meta_row(line, source=f"catalog row {n}")
-            if meta.tile_id in store._by_id:
+            meta = _parse_row(line, n)
+            if meta.tile_id in by_id:
                 raise CorruptionError(f"catalog row {n}: duplicate tile {meta.tile_id}")
-            store._rows.append(meta)
-            store._by_id[meta.tile_id] = meta
+            rows.append(meta)
+            by_id[meta.tile_id] = meta
         return store
 
     # -- nodes ---------------------------------------------------------------
@@ -426,7 +497,7 @@ class TileStore:
         placement = [live[(start + j) % len(live)] for j in range(REPLICATION_FACTOR)]
 
         blobs = {label: formats.pack_band(grid) for label, grid in scene.bands}
-        checksums = {label: hashlib.sha256(blob).hexdigest() for label, blob in blobs.items()}
+        checksums = {label: hashlib.sha256(blob).digest() for label, blob in blobs.items()}
         meta = TileMetadata(
             tile_id=tile_id,
             bbox=scene.bbox,
@@ -448,7 +519,7 @@ class TileStore:
             if committed < size:  # a torn row of an ingest that never committed
                 fh.truncate(committed)
             fh.seek(committed)
-            fh.write((_meta_row(meta) + "\n").encode("utf-8"))  # the commit
+            fh.write((_catalog_row(meta) + "\n").encode("utf-8"))  # the commit
         self._rows.append(meta)
         self._by_id[tile_id] = meta
         self._holders[tile_id] = rel, tuple(node for node in self.node_ids if node in placement)
@@ -541,7 +612,7 @@ class TileStore:
                     if attempt == 0:
                         break  # the kept placement is stale: look it up again
                     continue
-                if hashlib.sha256(blob).hexdigest() == expected:
+                if hashlib.sha256(blob).digest() == expected:
                     values = formats.unpack_band(blob, source=rel)
                     if values.shape != meta.shape:  # the same bytes on every replica
                         raise CorruptionError(

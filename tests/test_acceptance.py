@@ -2,8 +2,9 @@
 
 Ten criteria, each a separate test that appends one PASS/FAIL line to the
 session report (printed at the end; run with ``pytest -s`` to see it live).
-The two benchmark-backed criteria share session-scoped reports measured at
-9000 tiles with 50 repetitions, so this module takes several minutes.
+The benchmark-backed criteria (4, 5, 6 and 10) share module-scoped reports
+measured at 9000 tiles with 50 repetitions, so this module takes several
+minutes; they carry the `slow` marker, and `pytest -m "not slow"` skips them.
 """
 
 import time
@@ -165,6 +166,7 @@ def test_criterion_03_racing_speedup_and_resilience(acceptance_report, populated
             assert system.runner.worker_status()["quadtree"] is False
 
 
+@pytest.mark.slow  # the 9000-tile, 50-rep benchmark reports
 def test_criterion_04_multi_index_ordering(acceptance_report, scaling_report):
     """Racing multi-index is never slower than any single index; brute is slowest."""
     with criterion(acceptance_report, 4, "multi <= every single index and brute force "
@@ -182,6 +184,7 @@ def test_criterion_04_multi_index_ordering(acceptance_report, scaling_report):
             assert brute[i] >= multi[i], (count, brute[i], multi[i])
 
 
+@pytest.mark.slow  # the 9000-tile, 50-rep benchmark reports
 def test_criterion_05_linearity(acceptance_report, scaling_report):
     """Multi-index elapsed grows linearly in query count."""
     with criterion(acceptance_report, 5, "linear fit of multi elapsed vs count has "
@@ -192,6 +195,7 @@ def test_criterion_05_linearity(acceptance_report, scaling_report):
         assert fit["slope_ms_per_query"] > 0
 
 
+@pytest.mark.slow  # the 9000-tile, 50-rep benchmark reports
 def test_criterion_06_overhead_ordering(acceptance_report, overhead_report):
     """Multi-index is biggest but equals the sum of parts; builds stay parallel-cheap."""
     with criterion(acceptance_report, 6, "multi size largest, = sum of singles within "
@@ -303,6 +307,7 @@ def test_criterion_09_format_round_trips(acceptance_report, tmp_path):
         assert pgm_once == b"P5\n2 2\n255\n" + bytes([0, 128, 255, 1])
 
 
+@pytest.mark.slow  # the 9000-tile, 50-rep benchmark reports
 def test_criterion_10_experiment_protocol(acceptance_report, scaling_report, overhead_report):
     """Benchmarks repeat 50x and report mean +/- stddev in JSON."""
     import json

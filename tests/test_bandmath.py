@@ -13,6 +13,7 @@ from georace.bandmath import (
     MAX_MOSAIC_PIXELS,
     InfoKind,
     Mosaic,
+    _canvas,
     _layout,
     _paint_index,
     assemble_mosaic,
@@ -312,13 +313,18 @@ class TestIndexMosaic:
         assert layout.provenance == provenance
         paint = list(layout.paint)
         order.shuffle(paint)
-        canvas = np.full(layout.shape, np.nan, dtype=np.float32)
+        canvas = _canvas(layout)
         owners = np.zeros(layout.shape, dtype=int)
         for i, dst, src, mask in paint:
             _, nir, red = tiles[i]
             _paint_index(kind, nir.values, red.values, canvas, dst, src, mask)
             owners[dst] += 1 if mask is None else mask
         assert owners.max() <= 1
+        # the layout's gaps are the pixels no tile owns
+        if layout.gaps is None:
+            assert owners.all()
+        else:
+            assert np.array_equal(layout.gaps, owners == 0) and layout.gaps.any()
         assert canvas.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
 
 
@@ -401,6 +407,37 @@ class TestMosaic:
                         want = float(g.values[0, 0])
                 have = float(mosaic.values[r, c])
                 assert (math.isnan(want) and math.isnan(have)) or want == have
+
+    def test_canvas_tiles_own_whole_has_no_gaps(self):
+        # four tiles own every pixel: the canvas is not NaN-filled first
+        tiles = [
+            (meta_for(f"t{k}", BoundingBox(lon, lon + 1, lat, lat + 1), 10, shape=(4, 4)),
+             grid(np.full((4, 4), float(k), np.float32)))
+            for k, (lon, lat) in enumerate([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+        ]
+        query = BoundingBox(0.0, 2.0, 0.0, 2.0)
+        layout = _layout([(meta, meta.shape) for meta, _ in tiles], query, None)
+        assert layout.gaps is None
+        mosaic = assemble_mosaic(tiles, query)
+        assert not mosaic.no_data.any()
+        assert sorted(np.unique(mosaic.values)) == [0.0, 1.0, 2.0, 3.0]
+
+    def test_canvas_gap_is_no_data(self):
+        # one tile of a 2 x 2 block is missing: its quarter is the gap
+        tiles = [
+            (meta_for(f"t{k}", BoundingBox(lon, lon + 1, lat, lat + 1), 10, shape=(4, 4)),
+             grid(np.full((4, 4), float(k), np.float32)))
+            for k, (lon, lat) in enumerate([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        ]
+        query = BoundingBox(0.0, 2.0, 0.0, 2.0)
+        layout = _layout([(meta, meta.shape) for meta, _ in tiles], query, None)
+        want = np.zeros((8, 8), dtype=bool)
+        want[:4, 4:] = True  # the north-east quarter
+        assert np.array_equal(layout.gaps, want)
+        mosaic = assemble_mosaic(tiles, query)
+        assert np.array_equal(mosaic.no_data, want)
+        empty = _layout([], query, 0.25)
+        assert empty.gaps.all() and np.isnan(_canvas(empty)).all()
 
     def test_uncovered_pixels_are_no_data(self):
         tile = BoundingBox(0.0, 1.0, 0.0, 1.0)

@@ -340,8 +340,8 @@ class TestCulling:
         catalog = stack.store.root / "catalog.ndjson"
         rows = [json.loads(line) for line in catalog.read_text().splitlines()]
         for row in rows:
-            if row["tile_id"] == oldest:
-                row["rows"] += 1
+            if row[0] == oldest:  # tile_id
+                row[8] += 1  # rows
         catalog.write_text("".join(json.dumps(row) + "\n" for row in rows))
         with System.open(stack.store.root, SystemConfig(race=RaceConfig(backend="thread"))) as sys_:
             with pytest.raises(CorruptionError, match=f"{oldest}/NIR: .* the catalog says 9 x 8"):

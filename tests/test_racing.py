@@ -7,6 +7,7 @@ import time
 import pytest
 
 from conftest import make_entries, oracle_scan, random_queries, random_rows
+from georace import racing
 from georace.errors import IndexMismatchError, QueryTimeoutError, ValidationError
 from georace.geo import BoundingBox, TimeRange
 from georace.indexes import SINGLE_KINDS, IndexConfig, build_index
@@ -217,6 +218,18 @@ class _RaisesOn:
         return self.index.query(box, trange, should_cancel)
 
 
+class _SlowIndex:
+    """An index that spends `seconds` inside every traversal."""
+
+    def __init__(self, index, seconds):
+        self.index = index
+        self.seconds = seconds
+
+    def query(self, box, trange, should_cancel=None):
+        time.sleep(self.seconds)
+        return self.index.query(box, trange, should_cancel)
+
+
 def as_batch(queries):
     return [(BoundingBox(*box), TimeRange(*trange)) for box, trange in queries]
 
@@ -308,6 +321,70 @@ class _BatchCases(_OnBackend):
             assert [o.result for o in outcomes] == oracle_results(rows, queries[:30])
 
 
+    def _runner_with_slow_quadtree(self, rows, queries, monkeypatch, cpus):
+        """A runner whose QuadTree costs 20 ms per bulk query, after a first
+        batch that gives every kind a history; the process may use `cpus`.
+        20 ms is far above a fast kind's query even when a thread of it
+        waits for the interpreter lock or the host pauses it."""
+        monkeypatch.setattr(racing.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        indexes = build_singles(rows)
+        indexes["quadtree"] = _SlowIndex(indexes["quadtree"], 0.02)
+        r = self.runner(indexes)
+        # the waits before each query are not compute time: QuadTree claims
+        # part of this batch, and every kind gets a history
+        r.set_delay("geohash", 0.01)
+        r.set_delay("ortholist", 0.01)
+        outcomes = r.run_batch(as_batch(queries[:30]))
+        assert [o.result for o in outcomes] == oracle_results(rows, queries[:30])
+        assert {o.winner for o in outcomes} == set(SINGLE_KINDS)
+        r.set_delay("geohash", 0.0)
+        r.set_delay("ortholist", 0.0)
+        return r
+
+    def test_bulk_leaves_slowest_kind_out_on_two_cpus(self, corpus, monkeypatch):
+        rows, queries = corpus
+        with self._runner_with_slow_quadtree(rows, queries, monkeypatch, cpus=2) as r:
+            assert sorted(r._bulk_kinds(list(SINGLE_KINDS))) == ["geohash", "ortholist"]
+            outcomes = r.run_batch(as_batch(queries))
+            assert [o.result for o in outcomes] == oracle_results(rows, queries)
+            assert "quadtree" not in {o.winner for o in outcomes}
+            # the race path still dispatches every kind
+            box, trange = queries[0]
+            outcome = r.query(BoundingBox(*box), TimeRange(*trange), verification=True)
+            assert set(outcome.latency_by_kind) == set(SINGLE_KINDS)
+            assert all(isinstance(v, float) for v in outcome.latency_by_kind.values())
+
+    def test_bulk_takes_the_fastest_kind_on_one_cpu(self, corpus, monkeypatch):
+        rows, queries = corpus
+        with self._runner_with_slow_quadtree(rows, queries, monkeypatch, cpus=1) as r:
+            (only,) = r._bulk_kinds(list(SINGLE_KINDS))
+            assert only != "quadtree"
+            outcomes = r.run_batch(as_batch(queries[:40]))
+            assert [o.result for o in outcomes] == oracle_results(rows, queries[:40])
+            assert {o.winner for o in outcomes} == {only}
+
+    def test_bulk_uses_every_kind_on_three_cpus(self, corpus, monkeypatch):
+        rows, queries = corpus
+        with self._runner_with_slow_quadtree(rows, queries, monkeypatch, cpus=3) as r:
+            assert r._bulk_kinds(list(SINGLE_KINDS)) == list(SINGLE_KINDS)
+            outcomes = r.run_batch(as_batch(queries[:40]))
+            assert [o.result for o in outcomes] == oracle_results(rows, queries[:40])
+
+    def test_bulk_uses_every_kind_without_history(self, corpus, monkeypatch):
+        rows, _ = corpus
+        monkeypatch.setattr(racing.os, "sched_getaffinity", lambda pid: {0})
+        with self.runner(build_singles(rows)) as r:
+            assert r._bulk_kinds(list(SINGLE_KINDS)) == list(SINGLE_KINDS)
+
+    def test_failed_selected_kind_brings_the_left_out_one_back(self, corpus, monkeypatch):
+        rows, queries = corpus
+        with self._runner_with_slow_quadtree(rows, queries, monkeypatch, cpus=2) as r:
+            r.fail_worker("geohash")
+            outcomes = r.run_batch(as_batch(queries[:40]))
+            assert [o.result for o in outcomes] == oracle_results(rows, queries[:40])
+            assert "geohash" not in {o.winner for o in outcomes}
+
+
 class TestBatch(_BatchCases):
     def test_worker_killed_before_the_batch(self, corpus):
         rows, queries = corpus
@@ -323,8 +400,12 @@ class TestBatch(_BatchCases):
     def test_worker_killed_mid_batch_is_failed_over(self, corpus):
         rows, queries = corpus
         with self.runner(build_singles(rows)) as r:
-            # QuadTree claims a query, then sleeps in its delay until killed
+            # QuadTree claims a query, then sleeps in its delay until killed;
+            # the others' delays keep the batch open past the kill, so QuadTree
+            # claims one even when the host is slow to schedule it
             r.set_delay("quadtree", 2.0)
+            r.set_delay("geohash", 0.005)
+            r.set_delay("ortholist", 0.005)
             victim = r._workers["quadtree"].handle
             killer = threading.Timer(0.2, victim.kill)
             killer.start()

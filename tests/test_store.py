@@ -1,7 +1,9 @@
 """Replicated tile store: layout, replication, failover, integrity guards."""
 
+import base64
 import hashlib
 import json
+import math
 import shutil
 
 import numpy as np
@@ -27,6 +29,10 @@ from georace.store import (
     tile_path,
 )
 from georace.synth import SceneSpec, generate_scenes, write_scenes
+
+
+# positions in a catalog row
+TILE_ID, MIN_LON, MAX_LON, MIN_LAT, MAX_LAT, CAPTURE_TIME, SATELLITE, BANDS, ROWS, COLS = range(10)
 
 
 def scene_at(lon, lat, t, satellite="landsat8", size=8, edge=1.0, labels=("NIR", "Red")):
@@ -85,7 +91,7 @@ class TestIngest:
             )
         catalog = (store.root / "catalog.ndjson").read_text().strip().splitlines()
         assert len(catalog) == 1
-        assert json.loads(catalog[0])["tile_id"] == tile_id
+        assert json.loads(catalog[0])[0] == tile_id
 
     def test_footprint_is_band_files_and_one_catalog_row(self, store):
         ids = [store.ingest(scene_at(10.0 + i, 20.0, 1000 + i)) for i in range(4)]
@@ -94,15 +100,32 @@ class TestIngest:
         # 270 B each: 8 x 8 float32 pixels behind the band header
         assert {p.stat().st_size for p in files} == {HEADER_SIZE + 4 * 8 * 8}
         catalog = (store.root / "catalog.ndjson").read_text().splitlines()
-        assert [json.loads(line)["tile_id"] for line in catalog] == ids
+        assert [json.loads(line)[0] for line in catalog] == ids
 
     def test_catalog_row_key_order_is_fixed(self, store):
-        store.ingest(scene_at(10.0, 20.0, 1000))
-        row = (store.root / "catalog.ndjson").read_text().strip()
-        assert list(json.loads(row)) == [
-            "tile_id", "min_lon", "max_lon", "min_lat", "max_lat", "capture_time",
-            "satellite", "bands", "rows", "cols", "checksums",
+        # positional: tile_id, footprint, capture_time, satellite, bands, rows,
+        # cols, then each band's SHA-256 as unpadded base64
+        tile_id = store.ingest(scene_at(10.0, 20.0, 1000))
+        meta = store.metadata(tile_id)
+        node = store.placement(tile_id)[0]
+        digests = [
+            base64.b64encode(hashlib.sha256(
+                (store.root / "nodes" / node / tile_path(meta, label)).read_bytes()
+            ).digest()).decode().rstrip("=")
+            for label in ("NIR", "Red")
         ]
+        row = (store.root / "catalog.ndjson").read_text()
+        assert row == json.dumps(
+            [tile_id, 10.0, 11.0, 20.0, 21.0, 1000, "landsat8", ["NIR", "Red"], 8, 8, *digests],
+            separators=(",", ":"),
+        ) + "\n"
+        assert all(len(d) == 43 for d in digests)
+
+    def test_catalog_row_of_a_small_tile_is_compact(self, store):
+        # an 8 x 8 two-band tile on a quarter-degree grid, captured in 2020
+        store.ingest(scene_at(-100.25, -20.5, 1_600_000_001, edge=0.25))
+        row = (store.root / "catalog.ndjson").read_bytes()
+        assert len(row.rstrip(b"\n")) <= 180
 
     def test_catalog_row_records_band_shape(self, store):
         rng = np.random.default_rng(4)
@@ -112,7 +135,7 @@ class TestIngest:
         )
         tile_id = store.ingest(scene)
         row = json.loads((store.root / "catalog.ndjson").read_text())
-        assert (row["rows"], row["cols"]) == (6, 9)
+        assert (row[ROWS], row[COLS]) == (6, 9)
         for st in (store, TileStore.open(store.root)):
             assert st.metadata(tile_id).shape == (6, 9)
 
@@ -303,7 +326,7 @@ class TestFetch:
         meta = store.metadata(tile_id)
         node = store.placement(tile_id)[0]
         blob = (store.root / "nodes" / node / tile_path(meta, "Red")).read_bytes()
-        assert hashlib.sha256(blob).hexdigest() == meta.checksums["Red"]
+        assert hashlib.sha256(blob).digest() == meta.checksums["Red"]
 
     def test_external_down_marker_respected(self, store):
         tile_id = store.ingest(scene_at(10.0, 20.0, 1000))
@@ -356,13 +379,19 @@ class TestCatalogSelect:
 class TestIntegrityOnOpen:
     def _tamper(self, store, transform):
         catalog = store.root / "catalog.ndjson"
-        doc = json.loads(catalog.read_text().strip())
-        transform(doc)
-        catalog.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+        row = json.loads(catalog.read_text().strip())
+        transform(row)
+        catalog.write_text(json.dumps(row, separators=(",", ":")) + "\n")
+
+    def test_version_1_store_refused(self, store):
+        store.ingest(scene_at(10.0, 20.0, 1000))
+        (store.root / "store.json").write_text('{"version":1,"nodes":3}')
+        with pytest.raises(ValidationError, match=r"version 1 tile store.*only version 2"):
+            TileStore.open(store.root)
 
     def test_tampered_shape_detected(self, store):
         tile_id = store.ingest(scene_at(10.0, 20.0, 1000))
-        self._tamper(store, lambda d: d.update(rows=d["rows"] + 1))
+        self._tamper(store, lambda r: r.__setitem__(ROWS, r[ROWS] + 1))
         reopened = TileStore.open(store.root)  # reads no band file
         assert reopened.metadata(tile_id).shape == (9, 8)
         for label in ("NIR", "Red"):
@@ -372,22 +401,85 @@ class TestIntegrityOnOpen:
     @pytest.mark.parametrize("value", [0, -8, True, 8.0, "8", None])
     def test_shape_must_be_positive_ints(self, store, value):
         store.ingest(scene_at(10.0, 20.0, 1000))
-        self._tamper(store, lambda d: d.update(cols=value))
-        with pytest.raises(CorruptionError, match="cols must be a positive int"):
+        self._tamper(store, lambda r: r.__setitem__(COLS, value))
+        with pytest.raises(CorruptionError, match="catalog row 1: cols must be a positive int"):
+            TileStore.open(store.root)
+
+    def test_bool_rows_refused(self, store):
+        store.ingest(scene_at(10.0, 20.0, 1000))
+        self._tamper(store, lambda r: r.__setitem__(ROWS, True))
+        with pytest.raises(CorruptionError, match="rows must be a positive int, got True"):
             TileStore.open(store.root)
 
     def test_row_of_the_old_format_refused(self, store):
-        # rows written before the band shape was recorded held four index keys
+        # a version 1 row, a JSON object with hex checksums, in a version 2 catalog
+        tile_id = store.ingest(scene_at(10.0, 20.0, 1000))
+        meta = store.metadata(tile_id)
+        old = {
+            "tile_id": tile_id, "min_lon": 10.0, "max_lon": 11.0, "min_lat": 20.0,
+            "max_lat": 21.0, "capture_time": 1000, "satellite": "landsat8",
+            "bands": ["NIR", "Red"], "rows": 8, "cols": 8,
+            "checksums": {label: digest.hex() for label, digest in meta.checksums.items()},
+        }
+        (store.root / "catalog.ndjson").write_text(json.dumps(old) + "\n")
+        with pytest.raises(CorruptionError, match="catalog row 1: a row is a JSON array"):
+            TileStore.open(store.root)
+
+    @pytest.mark.parametrize("change", [
+        lambda r: r.pop(),  # a digest short
+        lambda r: r.append(r[-1]),  # a digest too many
+        lambda r: r.__setitem__(BANDS, "NIR"),  # bands not a list
+        lambda r: r.__delitem__(slice(1, None)),  # the tile id alone
+    ], ids=["digest-short", "digest-extra", "bands-not-a-list", "one-field"])
+    def test_wrong_arity_refused(self, store, change):
         store.ingest(scene_at(10.0, 20.0, 1000))
-        old = {"geohash": "s0000", "quadtree_path": "NE", "grid_row": 0, "grid_col": 0}
-        self._tamper(store, lambda d: (d.pop("rows"), d.pop("cols"), d.update(old)))
-        with pytest.raises(CorruptionError, match=r"missing keys \['rows', 'cols'\]"):
+        self._tamper(store, change)
+        with pytest.raises(CorruptionError, match="10 fields and one digest per band"):
+            TileStore.open(store.root)
+
+    @pytest.mark.parametrize("field, value", [
+        (MIN_LON, math.nan), (MAX_LON, math.inf), (MIN_LAT, -math.inf), (MAX_LAT, "21.0"),
+        (MIN_LON, True), (MIN_LON, None), (MIN_LON, -180.5), (MAX_LAT, 90.5),
+    ])
+    def test_footprint_must_be_finite_and_in_range(self, store, field, value):
+        store.ingest(scene_at(10.0, 20.0, 1000))
+        self._tamper(store, lambda r: r.__setitem__(field, value))
+        with pytest.raises(CorruptionError, match="catalog row 1: footprint"):
+            TileStore.open(store.root)
+
+    @pytest.mark.parametrize("low, high", [(MIN_LON, MAX_LON), (MIN_LAT, MAX_LAT)])
+    def test_footprint_must_be_ordered(self, store, low, high):
+        store.ingest(scene_at(10.0, 20.0, 1000))
+        self._tamper(store, lambda r: r.__setitem__(low, r[high] + 0.5))
+        with pytest.raises(CorruptionError, match="catalog row 1: footprint"):
+            TileStore.open(store.root)
+
+    def test_footprint_ints_read_as_floats(self, store):
+        # a whole-degree footprint written as JSON ints names the same tile
+        tile_id = store.ingest(scene_at(10.0, 20.0, 1000))
+        self._tamper(store, lambda r: r.__setitem__(slice(MIN_LON, MAX_LAT + 1), [10, 11, 20, 21]))
+        meta = TileStore.open(store.root).metadata(tile_id)
+        assert meta.bbox == BoundingBox(10.0, 11.0, 20.0, 21.0)
+        assert all(type(v) is float for v in meta.bbox.as_tuple())
+
+    @pytest.mark.parametrize("digest", ["A" * 42, "A" * 44, "*" * 43, 7])
+    def test_digest_must_be_unpadded_base64_sha256(self, store, digest):
+        store.ingest(scene_at(10.0, 20.0, 1000))
+        self._tamper(store, lambda r: r.__setitem__(-1, digest))
+        with pytest.raises(CorruptionError, match="catalog row 1: a band digest"):
             TileStore.open(store.root)
 
     def test_tampered_tile_id_detected(self, store):
         store.ingest(scene_at(10.0, 20.0, 1000))
-        self._tamper(store, lambda d: d.update(tile_id="t" + "0" * 12))
-        with pytest.raises(CorruptionError):
+        self._tamper(store, lambda r: r.__setitem__(TILE_ID, "t" + "0" * 12))
+        with pytest.raises(CorruptionError, match="catalog row 1: .*id does not match"):
+            TileStore.open(store.root)
+
+    def test_duplicate_row_detected(self, store):
+        store.ingest(scene_at(10.0, 20.0, 1000))
+        catalog = store.root / "catalog.ndjson"
+        catalog.write_text(catalog.read_text() * 2)
+        with pytest.raises(CorruptionError, match="catalog row 2: duplicate tile"):
             TileStore.open(store.root)
 
     def test_store_with_replica_meta_json_reads_the_same(self, store):
@@ -411,7 +503,7 @@ class TestIntegrityOnOpen:
         first = [store.ingest(scene_at(10.0, 20.0, 1000)) for _ in range(before)]
         catalog = store.root / "catalog.ndjson"
         committed = catalog.read_bytes()
-        row = json.dumps({"tile_id": "t" + "0" * 12, "satellite": "x" * 5000})
+        row = json.dumps(["t" + "0" * 12, 11.0, 12.0, 20.0, 21.0, 1001, "x" * 5000])
         # a crash cut an ingest's append short: no newline, not JSON, maybe
         # longer than one read from the end
         with open(catalog, "ab") as fh:
@@ -442,9 +534,10 @@ class TestIntegrityOnOpen:
             TileStore.open(store.root)
 
     def test_missing_key_detected(self, store):
+        # a positional row with no digests: the fields left are read as nothing else
         store.ingest(scene_at(10.0, 20.0, 1000))
-        self._tamper(store, lambda d: d.pop("checksums"))
-        with pytest.raises(CorruptionError, match="checksums"):
+        self._tamper(store, lambda r: r.__delitem__(slice(COLS + 1, None)))
+        with pytest.raises(CorruptionError, match="catalog row 1: .*one digest per band"):
             TileStore.open(store.root)
 
 
