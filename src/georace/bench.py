@@ -225,18 +225,17 @@ def bench_overhead(
     *,
     repeat: int = DEFAULT_REPEAT,
     index_config: IndexConfig | None = None,
-    executor: str = "process",
 ) -> BenchReport:
     """Build wall-time and serialized size: each single index vs. the
-    combined multi-index (all three built by ``build_all``, spread over
-    the CPUs).
+    combined multi-index (all three built one after another by
+    ``build_all``).
 
     The two sides time different spans. A single build times only its
     ``build_seconds``: the traversal that fills the index, without the
     entry validation. The multi build times the whole ``build_all`` call:
-    validation, forking and collecting the workers, the snapshot stamp,
-    assembling GeoHash from its row chunks and the per-index snapshot check. The multi side therefore carries work the
-    single side does not, which makes a bound on their ratio stricter."""
+    validation and the three traversals. The multi side therefore carries
+    work the single side does not, which makes a bound on their ratio
+    stricter."""
     if repeat < 1:
         raise ValidationError("repeat must be >= 1")
     index_config = index_config or IndexConfig()
@@ -252,7 +251,7 @@ def bench_overhead(
             built = None  # free the previous build before the clock starts
             if name == MULTI_METHOD:
                 start = time.perf_counter_ns()
-                built = build_all(entries, config=index_config, executor=executor)
+                built = build_all(entries, config=index_config)
                 samples[name].append((time.perf_counter_ns() - start) / 1e6)
             else:
                 built = build_index(name, entries, index_config)
@@ -271,6 +270,6 @@ def bench_overhead(
     return BenchReport(
         scenario="index_overhead",
         repeat=repeat,
-        params={"tile_count": len(entries), "executor": executor},
+        params={"tile_count": len(entries)},
         results={"methods": method_stats},
     )

@@ -123,6 +123,13 @@ class QueryResult:
 
 @dataclass(frozen=True)
 class SystemConfig:
+    """Index, race and mosaic settings of an opened system.
+
+    build_executor is accepted and not read (build_all builds in the calling
+    process); it goes with build_all(executor=) at the next change to the
+    benchmark, which still passes it.
+    """
+
     index: IndexConfig = field(default_factory=IndexConfig)
     race: RaceConfig = field(default_factory=RaceConfig)
     build_executor: str = "auto"
@@ -137,8 +144,8 @@ class System:
         self.multi = multi
         self.runner = runner
         self.config = config
-        # the pool starts its threads on first use, so forks made before the
-        # first parallel fetch (index build, race workers) copy none of them
+        # the pool starts its threads on first use, so race workers forked
+        # before the first parallel fetch copy none of them
         self.fetch_helpers = len(os.sched_getaffinity(0)) - 1
         self.fetch_pool = (
             ThreadPoolExecutor(self.fetch_helpers, thread_name_prefix=FETCH_THREAD_PREFIX)
@@ -154,9 +161,7 @@ class System:
     def open(cls, store_root, config: SystemConfig | None = None) -> "System":
         config = config or SystemConfig()
         store = TileStore.open(store_root, config=config.index)
-        multi = build_all(
-            store.entries(), config=config.index, executor=config.build_executor
-        )
+        multi = build_all(store.entries(), config=config.index)
         runner = RaceRunner(multi.indexes, config=config.race)
         return cls(store, multi, runner, config)
 

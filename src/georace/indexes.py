@@ -212,44 +212,15 @@ class GeoHashIndex(RangeIndex):
 
     @classmethod
     def build(cls, rows: list[Row], config: IndexConfig) -> "GeoHashIndex":
-        buckets: dict[str, list[int]] = {}
-        cls.bucket_rows(rows, range(len(rows)), config.geohash_precision, buckets)
-        return cls.from_buckets(rows, config.geohash_precision, [buckets])
-
-    @staticmethod
-    def bucket_rows(
-        rows: list[Row], ids: range, precision: int, buckets: dict[str, list[int]]
-    ) -> None:
-        """Append each row id in ids, ascending, to the bucket of every cell
-        its box touches. Disjoint id ranges can be bucketed separately, in
-        any order or process, and assembled with from_buckets."""
-        for i in ids:
-            _, lo_x, hi_x, lo_y, hi_y, _, _ = rows[i]
+        """Cells sorted by code; each cell lists its row ids ascending."""
+        precision = config.geohash_precision
+        buckets: dict[str, list[int]] = defaultdict(list)
+        for i, (_, lo_x, hi_x, lo_y, hi_y, _, _) in enumerate(rows):
             box = BoundingBox(lo_x, hi_x, lo_y, hi_y)
             for code in geohash.touching_cells(box, precision):
-                buckets.setdefault(code, []).append(i)
-
-    @classmethod
-    def from_buckets(
-        cls, rows: list[Row], precision: int, parts: list[dict[str, list[int]]]
-    ) -> "GeoHashIndex":
-        """The index over rows from bucket_rows output for disjoint id ranges.
-
-        Cells are sorted by code and each cell's row ids ascending, so the
-        result does not depend on how the rows were split into parts. A
-        single part is taken as is: bucket_rows over ascending ids already
-        lists each cell's ids ascending.
-        """
+                buckets[code].append(i)
         idx = cls(rows, precision)
-        if len(parts) == 1:
-            buckets = parts[0]
-            idx._cells = {code: tuple(buckets[code]) for code in sorted(buckets)}
-        else:
-            buckets = {}
-            for part in parts:
-                for code, ids in part.items():
-                    buckets.setdefault(code, []).extend(ids)
-            idx._cells = {code: tuple(sorted(buckets[code])) for code in sorted(buckets)}
+        idx._cells = {code: tuple(buckets[code]) for code in sorted(buckets)}
         return idx
 
     def query(self, box: BoundingBox, trange: TimeRange, should_cancel=None) -> set[str]:

@@ -196,20 +196,10 @@ class _Worker:
 class RaceRunner:
     """Owns one worker per index kind and races them per query."""
 
-    def __init__(
-        self,
-        indexes: dict[str, RangeIndex],
-        *,
-        config: RaceConfig | None = None,
-        ensemble: tuple[str, ...] | None = None,
-    ):
+    def __init__(self, indexes: dict[str, RangeIndex], *, config: RaceConfig | None = None):
         if not indexes:
             raise ValidationError("at least one index required")
         self.config = config or RaceConfig()
-        self.ensemble = tuple(ensemble) if ensemble is not None else tuple(indexes)
-        for kind in self.ensemble:
-            if kind not in indexes:
-                raise ValidationError(f"ensemble kind {kind!r} has no index")
         self._qid = 0
         self._lock = threading.Lock()
         self.stats = RaceStats()
@@ -286,7 +276,7 @@ class RaceRunner:
             raise ValidationError("runner is closed")
         deadline = self.config.deadline if deadline is None else deadline
         verification = self.config.verification if verification is None else verification
-        requested = tuple(kinds) if kinds is not None else self.ensemble
+        requested = tuple(kinds) if kinds is not None else tuple(self._workers)
         for kind in requested:
             self._worker(kind)  # validates
         alive = [
@@ -422,7 +412,7 @@ class RaceRunner:
         if self._closed:
             raise ValidationError("runner is closed")
         deadline = self.config.deadline if deadline is None else deadline
-        requested = tuple(kinds) if kinds is not None else self.ensemble
+        requested = tuple(kinds) if kinds is not None else tuple(self._workers)
         for kind in requested:
             self._worker(kind)  # validates
         if not queries:

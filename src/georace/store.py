@@ -41,7 +41,9 @@ fields again. Open reads no band file.
 
 The manifest's version is 2. A version 1 store, whose rows are JSON objects
 with hex checksums, is refused at open with a message that names both
-formats: there is no migration; ingest its scenes into a new store.
+formats: there is no migration; ingest its scenes into a new store. A
+manifest that is not a JSON object, or whose nodes is not an int of at
+least the replication factor, is CorruptionError naming store.json.
 
 Replica placement is not persisted separately. The nodes holding a tile are
 found by probing the node directories, in node order, which is also the
@@ -433,7 +435,12 @@ class TileStore:
         manifest_path = root / cls.MANIFEST
         if not manifest_path.is_file():
             raise ValidationError(f"{root} is not a tile store (missing {cls.MANIFEST})")
-        manifest = json.loads(manifest_path.read_text())
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise CorruptionError(f"{manifest_path}: unparseable manifest: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise CorruptionError(f"{manifest_path}: manifest is not a JSON object")
         version = manifest.get("version")
         if version != STORE_VERSION:
             raise ValidationError(
@@ -442,7 +449,12 @@ class TileStore:
                 f"digests). Version 1 rows are JSON objects with hex checksums: ingest the "
                 f"scenes into a new store"
             )
-        store = cls(root, int(manifest["nodes"]), config or IndexConfig())
+        nodes = manifest.get("nodes")
+        if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < REPLICATION_FACTOR:
+            raise CorruptionError(
+                f"{manifest_path}: nodes must be an int >= {REPLICATION_FACTOR}, got {nodes!r}"
+            )
+        store = cls(root, nodes, config or IndexConfig())
         data = (root / cls.CATALOG).read_bytes()
         committed = data[:data.rfind(b"\n") + 1]  # past it: an ingest that never committed
         rows, by_id = store._rows, store._by_id

@@ -34,7 +34,7 @@ def scaling():
 
 @pytest.fixture(scope="module")
 def overhead():
-    return bench_overhead(ENTRIES, repeat=REPEAT, executor="serial")
+    return bench_overhead(ENTRIES, repeat=REPEAT)
 
 
 class TestDefaults:

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import multiprocessing
 import sys
 import threading
 import time
@@ -794,6 +795,20 @@ class TestLifecycle:
             assert set(threading.enumerate()) == before
         finally:
             system.close()
+
+    def test_open_builds_indexes_in_process(self, tmp_path, monkeypatch):
+        # 1024 tiles: the old threshold from which the index build forked
+        spec = SceneSpec(count=1024, seed=5, size_px=1, band_labels=("NIR", "Red"))
+        store = TileStore.create(tmp_path / "store")
+        for scene in generate_scenes(spec):
+            store.ingest(scene)
+
+        def no_start(self):
+            raise AssertionError("System.open started a process")
+
+        monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", no_start)
+        with System.open(store.root, SystemConfig(race=RaceConfig(backend="thread"))) as sys_:
+            assert len(sys_.multi) == spec.count
 
     def test_close_is_idempotent_and_stops_the_helpers(self, tmp_path):
         spec = TestParallelFetch.BIG

@@ -453,7 +453,7 @@ class TestBackendsAndConfig:
 
     def test_runner_from_multi_index(self, corpus):
         rows, queries = corpus
-        multi = build_all(make_entries(rows), executor="serial")
+        multi = build_all(make_entries(rows))
         with RaceRunner(multi.indexes) as r:
             box, trange = queries[0]
             assert r.query(BoundingBox(*box), TimeRange(*trange)).result == oracle_scan(

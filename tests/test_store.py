@@ -389,6 +389,16 @@ class TestIntegrityOnOpen:
         with pytest.raises(ValidationError, match=r"version 1 tile store.*only version 2"):
             TileStore.open(store.root)
 
+    @pytest.mark.parametrize(
+        "manifest",
+        ['{"version":2,"nod', "[2, 3]", '{"version":2,"nodes":"x"}', '{"version":2}'],
+        ids=["truncated", "array", "nodes-string", "nodes-missing"],
+    )
+    def test_corrupt_manifest_detected(self, store, manifest):
+        (store.root / "store.json").write_text(manifest)
+        with pytest.raises(CorruptionError, match="store.json"):
+            TileStore.open(store.root)
+
     def test_tampered_shape_detected(self, store):
         tile_id = store.ingest(scene_at(10.0, 20.0, 1000))
         self._tamper(store, lambda r: r.__setitem__(ROWS, r[ROWS] + 1))
